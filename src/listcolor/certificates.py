@@ -534,9 +534,11 @@ def _first_completion(g, assignment, start, second, c1, budget) -> OrderedSeq | 
     adj = g.adjacency
     seq = [start, second]
     chain = [c1]
-    on_path = {start, second}
-
-    def step() -> OrderedSeq | None:
+    position = {start: 0, second: 1}
+    # One frame per path vertex from `second` on: the color the next vertex
+    # must take, and the unvisited rest of the last vertex's neighbors.
+    frames: list[tuple[int, Iterator[int]]] = []
+    while True:
         budget.spend()
         t = len(seq)
         last = seq[-1]
@@ -544,24 +546,34 @@ def _first_completion(g, assignment, start, second, c1, budget) -> OrderedSeq | 
         other = ll[0] if ll[1] == chain[-1] else ll[1]
         if t >= 3 and other == chain[0] and g.has_edge(last, seq[0]):
             return OrderedSeq(CYCLE, tuple(seq), 0)
-        for jc in range(1, t - 2):
-            if other == chain[jc] and g.has_edge(last, seq[jc]):
-                return OrderedSeq(LOLLIPOP, tuple(seq), jc)
+        # a lollipop closes into the earliest position 1..t-3 adjacent to
+        # `last` whose chain color is `other`
+        jc = t - 2
         for w in adj[last]:
-            if w in on_path or other not in assignment[w]:
+            j = position.get(w, 0)
+            if 0 < j < jc and chain[j] == other:
+                jc = j
+        if jc < t - 2:
+            return OrderedSeq(LOLLIPOP, tuple(seq), jc)
+        frames.append((other, iter(adj[last])))
+        # extend by the next admissible neighbor, backing out of exhausted frames
+        while frames:
+            other, rest = frames[-1]
+            for w in rest:
+                if w not in position and other in assignment[w]:
+                    position[w] = len(seq)
+                    seq.append(w)
+                    chain.append(other)
+                    break
+            else:
+                frames.pop()
+                if frames:
+                    del position[seq.pop()]
+                    chain.pop()
                 continue
-            seq.append(w)
-            chain.append(other)
-            on_path.add(w)
-            found = step()
-            if found is not None:
-                return found
-            seq.pop()
-            chain.pop()
-            on_path.remove(w)
-        return None
-
-    return step()
+            break
+        else:
+            return None
 
 
 def find_2bad_pair(

@@ -9,6 +9,7 @@ seed when the flag is absent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -83,6 +84,8 @@ def _cmd_solve(args) -> int:
         assignment = read_lists(handle.read(), g)
     result = solve(g, assignment)
     print(result.status)
+    if args.stats:
+        print(json.dumps(dataclasses.asdict(result.stats)))
     if args.witness and result.colorable:
         print(json.dumps({str(v): c for v, c in sorted(result.coloring.items())}))
     return 0
@@ -265,6 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True)
     p.add_argument("--witness", action="store_true", help="print the coloring when one exists")
+    p.add_argument("--stats", action="store_true",
+                   help="print the search statistics as one JSON line after the status")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("certify", help="extract a non-colorability certificate as JSON")

@@ -205,10 +205,6 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph on `vertices` keeping exactly the edges with both ends inside.
 

@@ -6,6 +6,14 @@ zero a backtrack) and minimum-remaining-values ordering, ties broken by
 vertex id.  Components are solved independently.  Color symmetry is NOT
 broken: lists distinguish colors.
 
+The search is iterative, a loop over an explicit stack of frames, so its
+depth is limited by memory only, never by the interpreter's recursion limit.
+The next vertex comes from a binary heap of (live list size, vertex id)
+entries that is invalidated lazily; it is the vertex a full minimum scan
+would pick, and colors are tried in ascending order.  `SolveStats` counts
+search nodes, forced propagations, backtracks (tries undone after a
+failure) and the deepest frame stack.
+
 `brute_force_colorable` is an independent exhaustive oracle kept free of the
 solver's machinery; it is meant for tests and cross-validation only.
 """
@@ -15,6 +23,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .errors import CertificateError, GuardExceededError, InvalidParameterError, SolveTimeout
 from .graphs import Graph, connected_components, induced_subgraph, vertex_set
@@ -32,6 +41,8 @@ Coloring = dict[int, int]
 class SolveStats:
     nodes: int = 0
     propagations: int = 0
+    backtracks: int = 0
+    max_depth: int = 0
 
 
 @dataclass
@@ -66,8 +77,17 @@ def _check_deadline(deadline):
 
 
 def _solve_component(comp, g, assignment, stats, deadline) -> Coloring | None:
+    adjacency = g.adjacency
     live = {v: set(assignment[v]) for v in comp}
     colors: Coloring = {}
+    # Lazy MRV heap: every uncolored vertex has an entry (len(live[u]), u);
+    # entries of colored vertices or of stale sizes are skipped on pop.
+    heap: list[tuple[int, int]] = []
+
+    def fresh_heap():
+        entries = [(len(live[u]), u) for u in comp if u not in colors]
+        heapify(entries)
+        return entries
 
     def assign_chain(v0, c0, trail) -> bool:
         # Assign v0=c0, then chase forced singletons; trail records undo info.
@@ -80,19 +100,23 @@ def _solve_component(comp, g, assignment, stats, deadline) -> Coloring | None:
                 continue
             colors[v] = c
             trail.append((None, v, 0))
-            for w in g.adjacency[v]:
+            for w in adjacency[v]:
                 if w in colors:
                     if colors[w] == c:
                         return False
-                elif c in live.get(w, ()):
-                    live[w].remove(c)
-                    trail.append((live[w], w, c))
-                    remaining = len(live[w])
+                    continue
+                bucket = live[w]
+                if c in bucket:
+                    bucket.remove(c)
+                    trail.append((bucket, w, c))
+                    remaining = len(bucket)
                     if remaining == 0:
                         return False
                     if remaining == 1:
                         stats.propagations += 1
-                        stack.append((w, next(iter(live[w]))))
+                        stack.append((w, next(iter(bucket))))
+                    else:
+                        heappush(heap, (remaining, w))
         return True
 
     def undo(trail):
@@ -100,21 +124,10 @@ def _solve_component(comp, g, assignment, stats, deadline) -> Coloring | None:
             bucket, v, c = trail.pop()
             if bucket is None:
                 del colors[v]
+                bucket = live[v]
             else:
                 bucket.add(c)
-
-    def backtrack() -> bool:
-        if len(colors) == len(comp):
-            return True
-        v = min((u for u in comp if u not in colors), key=lambda u: (len(live[u]), u))
-        stats.nodes += 1
-        _check_deadline(deadline)
-        for c in sorted(live[v]):
-            trail = []
-            if assign_chain(v, c, trail) and backtrack():
-                return True
-            undo(trail)
-        return False
+            heappush(heap, (len(bucket), v))
 
     # settle pre-forced singletons before searching
     trail0 = []
@@ -123,9 +136,43 @@ def _solve_component(comp, g, assignment, stats, deadline) -> Coloring | None:
             stats.propagations += 1
             if not assign_chain(v, next(iter(live[v])), trail0):
                 return None
-    if backtrack():
-        return dict(colors)
-    return None
+    heap = fresh_heap()
+
+    # One frame per branching vertex: [vertex, its sorted live colors, index
+    # of the next color to try, trail of the current try].  The next vertex
+    # is the uncolored one minimizing (len(live[u]), u), colors are tried in
+    # ascending order: the order of a chronological recursive search.
+    frames: list[list] = []
+    descend = True
+    while True:
+        if descend:
+            if len(colors) == len(comp):
+                return dict(colors)
+            if len(heap) > 2 * len(comp):
+                # stale entries pile up in long searches; keep memory flat
+                heap = fresh_heap()
+            while True:
+                size, v = heappop(heap)
+                if v not in colors and len(live[v]) == size:
+                    break
+            stats.nodes += 1
+            _check_deadline(deadline)
+            frames.append([v, sorted(live[v]), 0, None])
+            stats.max_depth = max(stats.max_depth, len(frames))
+        frame = frames[-1]
+        v, options, i, trail = frame
+        if trail is not None:
+            undo(trail)
+            stats.backtracks += 1
+        if i == len(options):
+            frames.pop()
+            if not frames:
+                return None
+            descend = False
+            continue
+        frame[2] = i + 1
+        frame[3] = trail = []
+        descend = assign_chain(v, options[i], trail)
 
 
 def solve(g: Graph, assignment: ListAssignment, deadline: float | None = None) -> SolveResult:
@@ -174,23 +221,22 @@ def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, .
     from its restricted lists but F minus any single vertex is.  Deletions
     are attempted in ascending id order and kept whenever the remainder stays
     uncolorable, restricting to its first uncolorable component; the order is
-    fixed so certificates are reproducible.
+    fixed so certificates are reproducible.  A colorable instance raises
+    `CertificateError`.
     """
-    if solve(g, assignment).colorable:
-        raise CertificateError("extract_critical called on a colorable instance")
 
     def uncolorable(vs) -> bool:
         sub, _ = induced_subgraph(g, vs)
         return not solve(sub, assignment.restrict(vs)).colorable
 
     def first_uncolorable_component(vs):
-        sub, old_to_new = induced_subgraph(g, vs)
+        sub, _ = induced_subgraph(g, vs)
         new_to_old = sorted(vs)
         for comp in connected_components(sub):
             original = tuple(new_to_old[i] for i in comp)
             if uncolorable(original):
                 return original
-        raise AssertionError("uncolorable graph with no uncolorable component")
+        raise CertificateError("extract_critical called on a colorable instance")
 
     core = first_uncolorable_component(range(g.n))
     while True:

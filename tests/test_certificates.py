@@ -31,7 +31,7 @@ from listcolor.certificates import (
     proper_tree_size,
 )
 from listcolor.corpus import corpus_assignments, small_connected_graphs
-from listcolor.errors import CertificateError, InvalidParameterError
+from listcolor.errors import CertificateError, GuardExceededError, InvalidParameterError
 from listcolor.graphs import Graph, complete_multipartite, girth, petersen, power_cycle
 from listcolor.lists import ListAssignment
 from listcolor.solver import brute_force_colorable, solve
@@ -302,6 +302,30 @@ class TestTwoBadPairs:
     def test_wrong_list_size_rejected(self, c5):
         with pytest.raises(InvalidParameterError):
             find_2bad_pair(c5, uniform_lists(5, (1, 2, 3)))
+
+    def test_long_odd_cycle_has_no_depth_limit(self):
+        # every chain runs around the whole cycle: 5000 states deep
+        n = 5001
+        g = power_cycle(n, 1)
+        a = uniform_lists(n, (1, 2))
+        pair = find_2bad_pair(g, a)
+        assert pair is not None and is_2bad_pair(g, a, pair)[0]
+        assert pair.h1.kind == pair.h2.kind == CYCLE
+        assert len(pair.h1.vertices) == len(pair.h2.vertices) == n
+
+    def test_budget_is_spent_once_per_visited_state(self):
+        # an odd cycle visits n - 1 states in each of the four chains of
+        # vertex 0; the second instance backtracks through 846 states
+        n = 21
+        g, a = power_cycle(n, 1), uniform_lists(n, (1, 2))
+        assert find_2bad_pair(g, a, max_nodes=4 * (n - 1)) is not None
+        with pytest.raises(GuardExceededError):
+            find_2bad_pair(g, a, max_nodes=4 * (n - 1) - 1)
+        g = power_cycle(9, 2)
+        a = ListAssignment(3, 2, [(1, 2), (2, 3), (1, 3)] * 3)
+        assert find_2bad_pair(g, a, max_nodes=846) is None
+        with pytest.raises(GuardExceededError):
+            find_2bad_pair(g, a, max_nodes=845)
 
 
 class TestNonconsecutiveCount:

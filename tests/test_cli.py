@@ -100,6 +100,17 @@ class TestSampleAndSolve:
         assert status == "COLORABLE"
         assert set(json.loads(witness)) == {"0", "1", "2", "3", "4"}
 
+    def test_solve_stats_line(self, c5_file, forced_lists_file, capsys):
+        code, out, _ = run(
+            capsys, "solve", "--graph", c5_file, "--lists", forced_lists_file, "--stats"
+        )
+        assert code == 0
+        status, stats = out.strip().splitlines()
+        assert status == "UNCOLORABLE"
+        assert json.loads(stats) == {
+            "nodes": 1, "propagations": 8, "backtracks": 2, "max_depth": 1,
+        }
+
 
 class TestCertify:
     def test_auto_returns_triple(self, c5_file, forced_lists_file, capsys):

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from listcolor import solver
 from listcolor.corpus import corpus_assignments, small_connected_graphs
 from listcolor.errors import CertificateError, GuardExceededError
-from listcolor.graphs import Graph, connected_components, induced_subgraph
-from listcolor.lists import ListAssignment, SeedSpec, sample_assignment
+from listcolor.graphs import Graph, connected_components, induced_subgraph, power_cycle
+from listcolor.lists import ListAssignment, SeedSpec, derive_seed, sample_assignment
 from listcolor.solver import (
     COLORABLE,
     UNCOLORABLE,
@@ -50,8 +51,55 @@ class TestSolve:
                     assert verify_coloring(g, a, result.coloring)
 
     def test_stats_are_populated(self, c5):
-        result = solve(c5, uniform_lists(5, (1, 2)))
-        assert result.stats.nodes >= 1
+        # one branching vertex; both of its colors propagate to a conflict
+        stats = solve(c5, uniform_lists(5, (1, 2))).stats
+        assert (stats.nodes, stats.backtracks, stats.max_depth) == (1, 2, 1)
+        assert stats.propagations > 0
+
+
+class TestIterativeSearch:
+    @pytest.mark.parametrize("n,r,k,sigma", [(5000, 3, 3, 20), (5000, 2, 2, 40)])
+    def test_deep_search_has_no_recursion_limit(self, n, r, k, sigma):
+        g = power_cycle(n, r)
+        a = sample_assignment(g, k, sigma, SeedSpec(1, 0))
+        result = solve(g, a)
+        assert result.status == COLORABLE
+        assert verify_coloring(g, a, result.coloring)
+        assert result.stats.max_depth > 1000
+
+    def test_search_order_is_pinned(self):
+        # node counts of the recursive minimum-scan search this one replaced
+        g = power_cycle(800, 3)
+        point_seed = derive_seed(10000, 800, 3, 12)
+        nodes = [
+            solve(g, sample_assignment(g, 3, 12, SeedSpec(point_seed, t))).stats.nodes
+            for t in range(4)
+        ]
+        assert nodes == [757, 739, 760, 751]
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    k = draw(st.sampled_from((2, 3)))
+    sigma = draw(st.integers(k, k + 2))
+    lists = [
+        tuple(sorted(draw(st.lists(st.integers(1, sigma), min_size=k, max_size=k, unique=True))))
+        for _ in range(n)
+    ]
+    return Graph(n, edges), ListAssignment(sigma, k, lists)
+
+
+@given(small_instances())
+@settings(max_examples=300, deadline=None)
+def test_solver_agrees_with_brute_force(instance):
+    g, a = instance
+    result = solve(g, a)
+    assert result.colorable == brute_force_colorable(g, a)
+    if result.colorable:
+        assert verify_coloring(g, a, result.coloring)
 
 
 class TestVerifyColoring:
@@ -113,6 +161,17 @@ class TestExtractCritical:
     def test_rejects_colorable_instance(self, c4):
         with pytest.raises(CertificateError):
             extract_critical(c4, uniform_lists(4, (1, 2)))
+
+    def test_solves_a_connected_instance_whole_once(self, c5, monkeypatch):
+        sizes = []
+
+        def counting_solve(g, assignment, deadline=None):
+            sizes.append(g.n)
+            return solve(g, assignment, deadline)
+
+        monkeypatch.setattr(solver, "solve", counting_solve)
+        extract_critical(c5, uniform_lists(5, (1, 2)))
+        assert sizes.count(5) == 1
 
     def test_core_satisfies_criticality(self):
         combos = ((2, 3), (3, 3))
