@@ -213,6 +213,7 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         config.base_seed = args.seed
     if args.workers is not None:
+        _require(args.workers >= 1, "--workers must be at least 1")
         config.workers = args.workers
     result = sweep(config)
     out_dir = args.out or config.output_dir or "sweep-out"

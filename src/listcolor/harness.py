@@ -7,6 +7,12 @@ trial-index order, and records.csv is sorted by (n, sigma, trial_index) --
 so reruns and different worker counts produce byte-identical CSV as long as
 no wall-clock timeout fires.  Per-trial wall times are kept out of the CSV
 for the same reason (they live in summary.json as per-point means).
+
+Worker model: a sweep builds each n's graph once.  With workers > 1,
+run_point forks a Pool whose workers inherit that graph at fork time (it is
+an initializer argument, which fork does not pickle); each job carries only
+the trial's seed coordinates.  A trial that raises an unexpected exception
+is recorded with status "error" instead of ending the sweep.
 """
 
 from __future__ import annotations
@@ -47,6 +53,24 @@ CSV_COLUMNS = (
     "certificate",
 )
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+
+# What ExperimentConfig.from_dict accepts; docs/config.schema.json must agree
+# (tests/test_harness.py checks it).
+_REQUIRED_KEYS = ("family", "n_grid", "sigma_grid", "trials")
+_CONFIG_KEYS = (
+    *_REQUIRED_KEYS,
+    "family_params", "k", "base_seed", "timeout_seconds", "certificates", "workers",
+    "output_dir",
+)
+# graph family -> the family_params keys its builder needs
+_FAMILY_PARAMS = {
+    "clique_union": ("delta",),
+    "power_cycle": ("r",),
+    "complete_multipartite": ("parts",),
+    "petersen": (),
+}
+# certificate detector kind -> the label a trial records when it finds one
+_CERTIFICATE_KINDS = {"triple": "bad-triple", "pair": "2bad-pair", "tree": "tree-bad"}
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +131,12 @@ class TrialRecord:
     sigma: int
     trial_index: int
     seed: int
-    status: str  # "ok" | "timeout"
+    status: str  # "ok" | "timeout" | "error"
     colorable: bool | None
     solve_nodes: int
     certificate: str
     wall_micros: int
+    error: str = ""  # exception class name of an "error" trial; not a CSV column
 
     def csv_row(self) -> list:
         return [
@@ -135,6 +160,7 @@ class PointResult:
     trials: int
     completed: int
     timeouts: int
+    errors: int
     colorable_count: int
     p_hat: float | None
     ci_low: float | None
@@ -150,6 +176,7 @@ class PointResult:
             "trials": self.trials,
             "completed": self.completed,
             "timeouts": self.timeouts,
+            "errors": self.errors,
             "colorable": self.colorable_count,
             "p_hat": self.p_hat,
             "ci_low": self.ci_low,
@@ -169,46 +196,86 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _check_run_args(timeout_seconds, certificate_kinds, workers, error) -> None:
+    """The checks run_point and ExperimentConfig share, raising `error`."""
+    if timeout_seconds is not None and (
+        isinstance(timeout_seconds, bool)
+        or not isinstance(timeout_seconds, (int, float))
+        or not timeout_seconds >= 0
+    ):
+        raise error(
+            f"timeout_seconds must be a non-negative number or null, got {timeout_seconds!r}"
+        )
+    unknown = [kind for kind in certificate_kinds if kind not in _CERTIFICATE_KINDS]
+    if unknown:
+        raise error(
+            f"unknown certificate kinds {unknown}; known: {', '.join(_CERTIFICATE_KINDS)}"
+        )
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise error(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def _detect_certificate(g, assignment, kinds) -> str:
+    """Label of the first certificate found, trying `kinds` in order."""
     for kind in kinds:
         try:
             if kind == "triple":
-                if certs.find_bad_triple(g, assignment) is not None:
-                    return "bad-triple"
+                found = certs.find_bad_triple(g, assignment) is not None
             elif kind == "pair":
-                if assignment.k == 2 and certs.find_2bad_pair(g, assignment) is not None:
-                    return "2bad-pair"
-            elif kind == "tree":
-                if girth(g) != math.inf and girth(g) > 3:
-                    if certs.find_tree_bad(g, assignment) is not None:
-                        return "tree-bad"
+                found = assignment.k == 2 and certs.find_2bad_pair(g, assignment) is not None
             else:
-                raise ConfigError(f"unknown certificate detector {kind!r}")
+                gv = girth(g)
+                found = (gv != math.inf and gv > 3
+                         and certs.find_tree_bad(g, assignment) is not None)
         except GuardExceededError:
             return "guard-exceeded"
+        if found:
+            return _CERTIFICATE_KINDS[kind]
     return "none"
 
 
-def _run_trial(args) -> TrialRecord:
-    (g, n, k, sigma, trial_index, point_seed, timeout_s, cert_kinds) = args
+def _run_trial(g: Graph, job: tuple) -> TrialRecord:
+    """One seeded trial on `g`.  `wall_micros` times the solve alone."""
+    n, k, sigma, trial_index, point_seed, timeout_s, cert_kinds = job
     seed = SeedSpec(point_seed, trial_index)
-    assignment = sample_assignment(g, k, sigma, seed)
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
     start = time.monotonic()
-    try:
-        result = solve(g, assignment, deadline=deadline)
-    except SolveTimeout:
+
+    def unfinished(status: str, error: str = "") -> TrialRecord:
         wall = int((time.monotonic() - start) * 1e6)
-        return TrialRecord(n, k, sigma, trial_index, seed.stream_seed(), "timeout",
-                           None, 0, "", wall)
-    wall = int((time.monotonic() - start) * 1e6)
-    certificate = ""
-    if not result.colorable and cert_kinds:
-        certificate = _detect_certificate(g, assignment, cert_kinds)
+        return TrialRecord(n, k, sigma, trial_index, seed.stream_seed(), status,
+                           None, 0, "", wall, error)
+
+    try:
+        assignment = sample_assignment(g, k, sigma, seed)
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        start = time.monotonic()
+        result = solve(g, assignment, deadline=deadline)
+        wall = int((time.monotonic() - start) * 1e6)
+        certificate = ""
+        if not result.colorable and cert_kinds:
+            certificate = _detect_certificate(g, assignment, cert_kinds)
+    except SolveTimeout:
+        return unfinished("timeout")
+    except Exception as exc:  # one bad trial must not lose the sweep
+        return unfinished("error", type(exc).__name__)
     return TrialRecord(
         n, k, sigma, trial_index, seed.stream_seed(), "ok",
         result.colorable, result.stats.nodes, certificate, wall,
     )
+
+
+# The graph of the current run_point, set in each Pool worker by
+# _init_worker; the serial path passes its graph directly and never sets it.
+_worker_graph: Graph | None = None
+
+
+def _init_worker(g: Graph) -> None:
+    global _worker_graph
+    _worker_graph = g
+
+
+def _run_worker_trial(job: tuple) -> TrialRecord:
+    return _run_trial(_worker_graph, job)
 
 
 def run_point(
@@ -224,28 +291,38 @@ def run_point(
 ) -> PointResult:
     """Estimate the colorability probability at one (n, k, sigma) grid cell.
 
-    Timed-out trials are recorded, counted, and excluded from p_hat (never
-    silently dropped).  The aggregate is a deterministic fold over trial
-    indices, independent of worker scheduling.
+    `family` is built at `n` unless it is already a Graph.  With workers > 1
+    the trials run in a fork Pool whose workers inherit the graph at fork;
+    each job carries only (n, k, sigma, trial index, point seed, timeout,
+    certificate kinds), so no graph is pickled.
+
+    Timed-out trials and trials that raised (status "error") are recorded,
+    counted separately, and excluded from p_hat (never silently dropped).
+    The aggregate is a deterministic fold over trial indices, independent of
+    worker scheduling.
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     if k > sigma:
         raise InvalidParameterError(f"k={k} exceeds sigma={sigma}")
+    _check_run_args(timeout_seconds, certificate_kinds, workers, InvalidParameterError)
     g = family if isinstance(family, Graph) else family.build(n)
     point_seed = derive_seed(base_seed, n, k, sigma)
     jobs = [
-        (g, n, k, sigma, i, point_seed, timeout_seconds, certificate_kinds)
+        (n, k, sigma, i, point_seed, timeout_seconds, certificate_kinds)
         for i in range(trials)
     ]
     if workers > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            records = pool.map(_run_trial, jobs, chunksize=max(1, trials // (4 * workers)))
+        with multiprocessing.get_context("fork").Pool(workers, _init_worker, (g,)) as pool:
+            records = pool.map(
+                _run_worker_trial, jobs, chunksize=max(1, trials // (4 * workers))
+            )
     else:
-        records = [_run_trial(job) for job in jobs]
+        records = [_run_trial(g, job) for job in jobs]
     completed = [r for r in records if r.status == "ok"]
+    timeouts = sum(1 for r in records if r.status == "timeout")
     colorable = sum(1 for r in completed if r.colorable)
     if completed:
         p_hat = colorable / len(completed)
@@ -254,7 +331,8 @@ def run_point(
         p_hat = ci_low = ci_high = None
     mean_wall = sum(r.wall_micros for r in records) / len(records)
     return PointResult(
-        n, k, sigma, trials, len(completed), len(records) - len(completed),
+        n, k, sigma, trials, len(completed), timeouts,
+        len(records) - len(completed) - timeouts,
         colorable, p_hat, ci_low, ci_high, mean_wall, records,
     )
 
@@ -284,26 +362,56 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Validate `raw` against docs/config.schema.json's rules up front,
+        so no sweep fails on its config after it has started."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config is a JSON object, got {type(raw).__name__}")
+        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
+        missing = [key for key in _REQUIRED_KEYS if key not in raw]
+        if missing:
+            raise ConfigError(f"missing config keys {missing}")
+        family_name = raw["family"]
+        if not isinstance(family_name, str) or family_name not in _FAMILY_PARAMS:
+            raise ConfigError(
+                f"unknown graph family {family_name!r}; known: {', '.join(_FAMILY_PARAMS)}"
+            )
         try:
-            family_name = raw["family"]
             n_grid = tuple(int(x) for x in raw["n_grid"])
             trials = int(raw["trials"])
             base_seed = int(raw.get("base_seed", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+            workers = int(raw.get("workers", 1))
+            raw_params = dict(raw.get("family_params", {}))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from None
         if not n_grid:
             raise ConfigError("n_grid must be non-empty")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
+        known_params = {key for keys in _FAMILY_PARAMS.values() for key in keys}
+        unknown = sorted(set(raw_params) - known_params)
+        if unknown:
+            raise ConfigError(f"unknown family_params keys {unknown}")
+        missing = [key for key in _FAMILY_PARAMS[family_name] if key not in raw_params]
+        if missing:
+            raise ConfigError(f"family {family_name!r} needs family_params {missing}")
         params = {}
-        for key, value in dict(raw.get("family_params", {})).items():
+        for key, value in raw_params.items():
             if key == "parts":
+                if not isinstance(value, list):
+                    raise ConfigError(f"'parts' must be a list, got {value!r}")
                 params[key] = [_coerce_expr(p) for p in value]
             else:
                 params[key] = _coerce_expr(value)
-        sigma_raw = raw.get("sigma_grid", [])
+        sigma_raw = raw["sigma_grid"]
         if not sigma_raw:
             raise ConfigError("sigma_grid must be non-empty")
+        certificate_kinds = raw.get("certificates", ())
+        if not isinstance(certificate_kinds, (list, tuple)):
+            raise ConfigError(f"certificates must be a list, got {certificate_kinds!r}")
+        timeout_seconds = raw.get("timeout_seconds", 5.0)
+        _check_run_args(timeout_seconds, certificate_kinds, workers, ConfigError)
         config = cls(
             family=GraphFamily(family_name, params),
             n_grid=n_grid,
@@ -311,9 +419,9 @@ class ExperimentConfig:
             sigma_exprs=tuple(_coerce_expr(x) for x in sigma_raw),
             trials=trials,
             base_seed=base_seed,
-            timeout_seconds=raw.get("timeout_seconds", 5.0),
-            certificate_kinds=tuple(raw.get("certificates", ())),
-            workers=int(raw.get("workers", 1)),
+            timeout_seconds=timeout_seconds,
+            certificate_kinds=tuple(certificate_kinds),
+            workers=workers,
             output_dir=raw.get("output_dir"),
         )
         config.grid()  # validates every cell
@@ -416,27 +524,29 @@ def trend_violation_count(points: list[PointResult]) -> int:
 
 def sweep(config: ExperimentConfig) -> SweepResult:
     """One run_point per (n, sigma) grid cell, plus crossing and trend
-    diagnostics per n."""
+    diagnostics per n.  Each n's graph is built once and shared by its
+    cells (and inherited by their Pool workers)."""
     points: list[PointResult] = []
     crossings: dict[int, float | None] = {}
     trends: dict[int, int] = {}
+    cells = config.grid()
     for n in config.n_grid:
-        cells = [(nn, k, s) for (nn, k, s) in config.grid() if nn == n]
-        row = []
-        for nn, k, sigma in cells:
-            row.append(
-                run_point(
-                    config.family,
-                    nn,
-                    k,
-                    sigma,
-                    config.trials,
-                    config.base_seed,
-                    config.timeout_seconds,
-                    config.certificate_kinds,
-                    config.workers,
-                )
+        g = config.family.build(n)
+        row = [
+            run_point(
+                g,
+                n,
+                k,
+                sigma,
+                config.trials,
+                config.base_seed,
+                config.timeout_seconds,
+                config.certificate_kinds,
+                config.workers,
             )
+            for nn, k, sigma in cells
+            if nn == n
+        ]
         row.sort(key=lambda p: p.sigma)
         points.extend(row)
         crossings[n] = p_half_crossing([p.sigma for p in row], [p.p_hat for p in row])

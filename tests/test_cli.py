@@ -198,6 +198,16 @@ class TestSweepCommand:
         assert (tmp_path / "run" / "records.csv").exists()
         assert (tmp_path / "run" / "summary.json").exists()
 
+    def test_zero_workers_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"family": "petersen", "n_grid": [10], "sigma_grid": [3], "trials": 1}
+        ))
+        code, _, err = run(capsys, "sweep", "--config", cfg_path, "--workers", 0,
+                           "--out", tmp_path / "run")
+        assert code == 2 and "--workers" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config_exits_one(self, capsys):
         code, _, err = run(capsys, "sweep", "--config", "missing.json")
         assert code == 1 and "missing.json" in err

@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from listcolor import harness
 from listcolor.errors import ConfigError, InvalidParameterError
-from listcolor.graphs import clique_union, complete_multipartite
+from listcolor.graphs import Graph, clique_union, complete_multipartite
 from listcolor.harness import (
     CorpusSpec,
     ExperimentConfig,
@@ -82,6 +84,43 @@ class TestRunPoint:
         assert failures
         assert all(r.certificate == "bad-triple" for r in failures)
 
+    def test_raising_trial_is_recorded_as_error(self, monkeypatch):
+        """A trial whose solve raises becomes one "error" record; the other
+        trials of the point still run and the estimate skips it."""
+        real_solve = harness.solve
+        calls = []
+
+        def flaky_solve(g, assignment, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:  # trial index 2: trials run in order at workers=1
+                raise RuntimeError("injected")
+            return real_solve(g, assignment, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", flaky_solve)
+        point = run_point(GraphFamily("clique_union", {"delta": 2}), 9, 2, 3, 10, 5)
+        bad = point.records[2]
+        assert (bad.status, bad.error, bad.colorable, bad.solve_nodes) == (
+            "error", "RuntimeError", None, 0
+        )
+        assert bad.csv_row()[5:] == ["error", "", 0, ""]
+        others = point.records[:2] + point.records[3:]
+        assert all(r.status == "ok" and r.error == "" for r in others)
+        assert (point.completed, point.timeouts, point.errors) == (9, 0, 1)
+        ok = [r for r in point.records if r.status == "ok"]
+        assert point.p_hat == sum(r.colorable for r in ok) / 9
+        summary = point.summary()
+        assert (summary["errors"], summary["timeouts"], summary["completed"]) == (1, 0, 9)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"workers": 0},
+        {"certificate_kinds": ("tripel",)},
+        {"timeout_seconds": "5"},
+        {"timeout_seconds": -1.0},
+    ])
+    def test_bad_arguments_rejected_before_any_trial(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            run_point(GraphFamily("clique_union", {"delta": 2}), 9, 2, 3, 10, 5, **kwargs)
+
 
 class TestWilson:
     def test_contains_proportion(self):
@@ -101,9 +140,29 @@ class TestSweep:
         assert sweep(config).records_csv() == sweep(config).records_csv()
 
     def test_byte_identical_across_worker_counts(self):
-        serial = sweep(small_config(trials=40))
-        parallel = sweep(small_config(trials=40, workers=2))
+        kw = {"trials": 40, "n_grid": [12, 15], "certificates": ["triple", "pair"]}
+        serial = sweep(small_config(**kw))
+        parallel = sweep(small_config(workers=2, **kw))
         assert serial.records_csv() == parallel.records_csv()
+        assert {r.certificate for r in parallel.records()} >= {"bad-triple", ""}
+
+    def test_pool_ships_no_graph_and_builds_each_n_once(self, monkeypatch):
+        def no_pickling(self):
+            raise AssertionError("a Graph was pickled")
+
+        built = []
+        real_build = GraphFamily.build
+
+        def counting_build(self, n):
+            built.append(n)
+            return real_build(self, n)
+
+        monkeypatch.setattr(Graph, "__reduce__", no_pickling)
+        monkeypatch.setattr(GraphFamily, "build", counting_build)
+        result = sweep(small_config(trials=20, n_grid=[12, 15], workers=2))
+        assert built == [12, 15]
+        assert len(result.records()) == 2 * 3 * 20
+        assert all(r.status == "ok" for r in result.records())
 
     def test_records_sorted_and_versioned(self, tmp_path):
         result = sweep(small_config(trials=10))
@@ -153,6 +212,60 @@ class TestSweep:
         assert [p.sigma for p in result.points] == [4, 16]
         built = config.family.build(4)
         assert built == complete_multipartite([4, 4])
+
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "config.schema.json").read_text()
+)
+
+
+class TestConfigSchema:
+    """docs/config.schema.json states what ExperimentConfig.from_dict accepts."""
+
+    def test_top_level_keys_match(self):
+        assert set(SCHEMA["properties"]) == set(harness._CONFIG_KEYS)
+        assert set(SCHEMA["required"]) == set(harness._REQUIRED_KEYS)
+
+    def test_family_names_and_params_match(self):
+        assert SCHEMA["properties"]["family"]["enum"] == list(harness._FAMILY_PARAMS)
+        params = {key for keys in harness._FAMILY_PARAMS.values() for key in keys}
+        assert set(SCHEMA["properties"]["family_params"]["properties"]) == params
+
+    def test_certificate_kinds_match(self):
+        enum = SCHEMA["properties"]["certificates"]["items"]["enum"]
+        assert enum == list(harness._CERTIFICATE_KINDS)
+
+    def test_every_schema_key_accepted(self):
+        config = small_config(
+            timeout_seconds=None, certificates=["triple", "pair", "tree"], workers=2,
+            output_dir="out",
+        )
+        assert config.certificate_kinds == ("triple", "pair", "tree")
+        assert config.timeout_seconds is None and config.workers == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"colour_grid": [3]},  # unknown top-level key
+        {"family_params": {"delta": "2", "radius": "1"}},  # unknown family_params key
+        {"family": "clique-onion"},  # family outside the enum
+        {"family_params": {}},  # clique_union without delta
+        {"certificates": ["tripel"]},
+        {"certificates": "triple"},
+        {"workers": 0},
+        {"timeout_seconds": "5"},
+        {"timeout_seconds": -1},
+        {"timeout_seconds": True},
+    ])
+    def test_rejected_up_front(self, overrides):
+        with pytest.raises(ConfigError):
+            small_config(**overrides)
+
+    @pytest.mark.parametrize("key", ["family", "n_grid", "sigma_grid", "trials"])
+    def test_required_keys_enforced(self, key):
+        raw = {"family": "petersen", "n_grid": [10], "sigma_grid": [3], "trials": 1}
+        ExperimentConfig.from_dict(raw)
+        del raw[key]
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
 
 
 class TestCrossing:
