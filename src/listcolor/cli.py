@@ -270,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lists", required=True)
     p.add_argument("--witness", action="store_true", help="print the coloring when one exists")
     p.add_argument("--stats", action="store_true",
-                   help="print the search statistics as one JSON line after the status")
+                   help="print the solver statistics (search nodes, propagations, "
+                   "backtracks, max_depth, dp_states) as one JSON line after the status")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("certify", help="extract a non-colorability certificate as JSON")

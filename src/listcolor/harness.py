@@ -5,8 +5,11 @@ Determinism contract: every trial's random stream is a pure function of
 (config base seed, n, k, sigma, trial index), aggregation is a fold in
 trial-index order, and records.csv is sorted by (n, sigma, trial_index) --
 so reruns and different worker counts produce byte-identical CSV as long as
-no wall-clock timeout fires.  Per-trial wall times are kept out of the CSV
-for the same reason (they live in summary.json as per-point means).
+no wall-clock timeout fires.  Past a fixed node count the solver decides a
+component with an exact frontier DP, so a timeout can fire only on a
+component whose frontier is too wide for it.  Per-trial wall times are kept
+out of the CSV to keep it byte-identical (they live in summary.json as
+per-point means).
 
 Worker model: a sweep builds each n's graph once.  With workers > 1,
 run_point forks a Pool whose workers inherit that graph at fork time (it is

@@ -14,6 +14,18 @@ would pick, and colors are tried in ascending order.  `SolveStats` counts
 search nodes, forced propagations, backtracks (tries undone after a
 failure) and the deepest frame stack.
 
+The search has a fixed switch point against its heavy tail.  Once a
+component's search has spent more than 1000 + 4|C| nodes (a search that
+never backtracks uses at most |C|), the component's frontier width w is
+computed in ascending-id order: the most processed vertices that still have
+an unprocessed neighbor (2r for `power_cycle(n, r)`).  If k^w <= 4096 the
+search is dropped and a frontier DP decides the component exactly: it keeps
+the set of proper colorings of the frontier, step by step, and rebuilds a
+witness from per-step back-pointers.  Otherwise the search goes on where it
+stopped.  `SolveStats.nodes` counts search nodes only, `dp_states` the
+states the DP built; every instance decided before the switch point is
+searched exactly as without it.
+
 `brute_force_colorable` is an independent exhaustive oracle kept free of the
 solver's machinery; it is meant for tests and cross-validation only.
 """
@@ -22,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from array import array
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
@@ -36,6 +49,12 @@ UNCOLORABLE = "UNCOLORABLE"
 # in certificate contexts where the root stays uncolored.
 Coloring = dict[int, int]
 
+# The search of a component C switches to the frontier DP after more than
+# _SWITCH_BASE + _SWITCH_PER_VERTEX * |C| nodes, if k^w <= _DP_MAX_STATES.
+_SWITCH_BASE = 1000
+_SWITCH_PER_VERTEX = 4
+_DP_MAX_STATES = 4096
+
 
 @dataclass
 class SolveStats:
@@ -43,6 +62,7 @@ class SolveStats:
     propagations: int = 0
     backtracks: int = 0
     max_depth: int = 0
+    dp_states: int = 0
 
 
 @dataclass
@@ -76,8 +96,93 @@ def _check_deadline(deadline):
         raise SolveTimeout("solver deadline expired")
 
 
+def _frontier_width(order, adjacency) -> int:
+    """Largest number of processed vertices with an unprocessed neighbor
+    while the vertices of a component are processed in ascending order."""
+    leaving: dict[int, int] = {}
+    size = width = 0
+    for v in order:
+        last = max(adjacency[v], default=v)
+        if last > v:
+            size += 1
+            leaving[last] = leaving.get(last, 0) + 1
+        size -= leaving.pop(v, 0)
+        width = max(width, size)
+    return width
+
+
+def _frontier_dp(order, g, assignment, stats, deadline) -> Coloring | None:
+    """Decide a component exactly by processing `order` (ascending ids) and
+    keeping the set of proper colorings of the frontier.
+
+    A state packs the frontier's colors into one int, one bit field per
+    frontier slot holding 1 + the color's index in its list (0: slot free).
+    Each step stores one back-pointer `parent_index * k + color_index` per
+    new state; the witness is rebuilt backwards from the final state.
+    """
+    adjacency, lists, k = g.adjacency, assignment.lists, assignment.k
+    bits = k.bit_length()
+    mask = (1 << bits) - 1
+    leavers: dict[int, list[int]] = {}  # v -> processed vertices whose last neighbor is v
+    for u in order:
+        last = max(adjacency[u], default=u)
+        if last > u:
+            leavers.setdefault(last, []).append(u)
+    joins = {u for group in leavers.values() for u in group}  # have a later neighbor
+    shift: dict[int, int] = {}  # frontier vertex -> offset of its field
+    free = [i * bits for i in range(_frontier_width(order, adjacency))]
+    states = [0]
+    steps = []
+    for v in order:
+        _check_deadline(deadline)
+        earlier = [(lists[u], shift[u]) for u in adjacency[v] if u < v]
+        near = sum(mask << s for _, s in earlier)
+        gone = leavers.pop(v, ())
+        keep = ~sum(mask << shift[u] for u in gone)
+        free.extend(shift.pop(u) for u in gone)
+        if v in joins:
+            own = shift[v] = free.pop()
+        else:
+            own = None
+        # states that agree on v's earlier neighbors allow the same colors
+        choices: dict[int, list[tuple[int, int]]] = {}
+        index: dict[int, int] = {}
+        back = array("q")
+        for parent, state in enumerate(states):
+            key = state & near
+            allowed = choices.get(key)
+            if allowed is None:
+                used = {lst[((key >> s) & mask) - 1] for lst, s in earlier}
+                allowed = [
+                    (i, 0 if own is None else (i + 1) << own)
+                    for i, c in enumerate(lists[v])
+                    if c not in used
+                ]
+                if own is None:
+                    allowed = allowed[:1]  # v's color is forgotten at once
+                choices[key] = allowed
+            base = state & keep
+            for i, field_bits in allowed:
+                nxt = base | field_bits
+                if nxt not in index:
+                    index[nxt] = len(back)
+                    back.append(parent * k + i)
+        if not index:
+            return None
+        stats.dp_states += len(index)
+        steps.append(back)
+        states = list(index)
+    coloring: Coloring = {}
+    at = 0
+    for v, back in zip(reversed(order), reversed(steps)):
+        at, i = divmod(back[at], k)
+        coloring[v] = lists[v][i]
+    return coloring
+
+
 def _solve_component(comp, g, assignment, stats, deadline) -> Coloring | None:
     adjacency = g.adjacency
+    switch_at = stats.nodes + _SWITCH_BASE + _SWITCH_PER_VERTEX * len(comp)
     live = {v: set(assignment[v]) for v in comp}
     colors: Coloring = {}
     # Lazy MRV heap: every uncolored vertex has an entry (len(live[u]), u);
@@ -157,6 +262,11 @@ def _solve_component(comp, g, assignment, stats, deadline) -> Coloring | None:
                     break
             stats.nodes += 1
             _check_deadline(deadline)
+            if stats.nodes > switch_at:
+                switch_at = float("inf")  # the width is computed once
+                order = sorted(comp)
+                if assignment.k ** _frontier_width(order, adjacency) <= _DP_MAX_STATES:
+                    return _frontier_dp(order, g, assignment, stats, deadline)
             frames.append([v, sorted(live[v]), 0, None])
             stats.max_depth = max(stats.max_depth, len(frames))
         frame = frames[-1]
@@ -214,6 +324,19 @@ def brute_force_colorable(g: Graph, assignment: ListAssignment, guard: int = 10*
     return False
 
 
+def _first_uncolorable_component(g: Graph, assignment: ListAssignment, vs):
+    """The first connected component of g[vs] (ordered by smallest member,
+    in g's ids) that is not colorable from its lists, or None."""
+    sub, _ = induced_subgraph(g, vs)
+    new_to_old = sorted(vs)
+    for comp in connected_components(sub):
+        original = tuple(new_to_old[i] for i in comp)
+        part = sub if len(comp) == sub.n else induced_subgraph(g, original)[0]
+        if not solve(part, assignment.restrict(original)).colorable:
+            return original
+    return None
+
+
 def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, ...], Graph]:
     """Shrink an uncolorable instance to a connected induced critical core.
 
@@ -221,29 +344,18 @@ def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, .
     from its restricted lists but F minus any single vertex is.  Deletions
     are attempted in ascending id order and kept whenever the remainder stays
     uncolorable, restricting to its first uncolorable component; the order is
-    fixed so certificates are reproducible.  A colorable instance raises
-    `CertificateError`.
+    fixed so certificates are reproducible.  Each vertex set is solved once,
+    component by component.  A colorable instance raises `CertificateError`.
     """
-
-    def uncolorable(vs) -> bool:
-        sub, _ = induced_subgraph(g, vs)
-        return not solve(sub, assignment.restrict(vs)).colorable
-
-    def first_uncolorable_component(vs):
-        sub, _ = induced_subgraph(g, vs)
-        new_to_old = sorted(vs)
-        for comp in connected_components(sub):
-            original = tuple(new_to_old[i] for i in comp)
-            if uncolorable(original):
-                return original
+    core = _first_uncolorable_component(g, assignment, range(g.n))
+    if core is None:
         raise CertificateError("extract_critical called on a colorable instance")
-
-    core = first_uncolorable_component(range(g.n))
     while True:
         for v in core:
             trimmed = tuple(u for u in core if u != v)
-            if trimmed and uncolorable(trimmed):
-                core = first_uncolorable_component(trimmed)
+            smaller = trimmed and _first_uncolorable_component(g, assignment, trimmed)
+            if smaller:
+                core = smaller
                 break
         else:
             break

@@ -109,6 +109,7 @@ class TestSampleAndSolve:
         assert status == "UNCOLORABLE"
         assert json.loads(stats) == {
             "nodes": 1, "propagations": 8, "backtracks": 2, "max_depth": 1,
+            "dp_states": 0,
         }
 
 

@@ -5,9 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listcolor import solver
+from listcolor.certificates import find_bad_triple
 from listcolor.corpus import corpus_assignments, small_connected_graphs
 from listcolor.errors import CertificateError, GuardExceededError
-from listcolor.graphs import Graph, connected_components, induced_subgraph, power_cycle
+from listcolor.graphs import (
+    Graph,
+    complete_multipartite,
+    connected_components,
+    induced_subgraph,
+    power_cycle,
+)
 from listcolor.lists import ListAssignment, SeedSpec, derive_seed, sample_assignment
 from listcolor.solver import (
     COLORABLE,
@@ -78,6 +85,60 @@ class TestIterativeSearch:
         assert nodes == [757, 739, 760, 751]
 
 
+def force_switch(mp):
+    """Switch from search to the frontier DP after the first node."""
+    mp.setattr(solver, "_SWITCH_BASE", 0)
+    mp.setattr(solver, "_SWITCH_PER_VERTEX", 0)
+
+
+class TestFrontierFallback:
+    # heavy-tail trials that the search alone does not decide in minutes:
+    # power_cycle(200, 2) at k=2 (base seed 0), power_cycle(800, 3) at k=3
+    @pytest.mark.parametrize("n,r,sigma,base_seed,trial", [
+        (200, 2, 8, 0, 0),
+        (200, 2, 8, 0, 5),
+        (200, 2, 10, 0, 5),
+        (800, 3, 8, 100004, 3),
+        (800, 3, 8, 100008, 0),
+    ])
+    def test_heavy_tail_trials_are_decided(self, n, r, sigma, base_seed, trial):
+        g = power_cycle(n, r)
+        spec = SeedSpec(derive_seed(base_seed, n, r, sigma), trial)
+        result = solve(g, sample_assignment(g, r, sigma, spec))
+        assert result.status == UNCOLORABLE
+        assert result.stats.dp_states > 0
+        assert result.stats.nodes == solver._SWITCH_BASE + solver._SWITCH_PER_VERTEX * n + 1
+
+    def test_dp_witnesses_verify(self, monkeypatch):
+        force_switch(monkeypatch)
+        g = power_cycle(60, 2)
+        decided = set()
+        for t in range(12):
+            a = sample_assignment(g, 2, 5, SeedSpec(11, t))
+            result = solve(g, a)
+            assert result.stats.dp_states > 0
+            if result.colorable:
+                assert verify_coloring(g, a, result.coloring)
+            decided.add(result.status)
+        assert decided == {COLORABLE, UNCOLORABLE}
+
+    def test_wide_frontier_keeps_searching(self, monkeypatch):
+        # K_{8,8} in ascending order has a frontier of 8 vertices: 3^8 > 4096
+        g = complete_multipartite([8, 8])
+        a = sample_assignment(g, 3, 4, SeedSpec(5, 0))
+        plain = solve(g, a)
+        force_switch(monkeypatch)
+        forced = solve(g, a)
+        assert forced.stats.nodes > 1 and forced.stats.dp_states == 0
+        assert (forced.status, forced.coloring, forced.stats) == (
+            plain.status, plain.coloring, plain.stats
+        )
+
+    def test_frontier_width_of_a_power_cycle(self):
+        g = power_cycle(50, 3)
+        assert solver._frontier_width(range(50), g.adjacency) == 6
+
+
 @st.composite
 def small_instances(draw):
     n = draw(st.integers(1, 7))
@@ -100,6 +161,20 @@ def test_solver_agrees_with_brute_force(instance):
     assert result.colorable == brute_force_colorable(g, a)
     if result.colorable:
         assert verify_coloring(g, a, result.coloring)
+
+
+@given(small_instances())
+@settings(max_examples=300, deadline=None)
+def test_frontier_dp_agrees_with_brute_force(instance):
+    g, a = instance
+    with pytest.MonkeyPatch.context() as mp:
+        force_switch(mp)
+        result = solve(g, a)
+    assert result.colorable == brute_force_colorable(g, a)
+    if result.colorable:
+        assert verify_coloring(g, a, result.coloring)
+    if result.stats.nodes:
+        assert result.stats.dp_states > 0
 
 
 class TestVerifyColoring:
@@ -172,6 +247,21 @@ class TestExtractCritical:
         monkeypatch.setattr(solver, "solve", counting_solve)
         extract_critical(c5, uniform_lists(5, (1, 2)))
         assert sizes.count(5) == 1
+
+    def test_find_bad_triple_solves_each_vertex_set_once(self, monkeypatch):
+        shapes = []
+
+        def counting_solve(g, assignment, deadline=None):
+            shapes.append((g.n, len(g.edges)))
+            return solve(g, assignment, deadline)
+
+        monkeypatch.setattr(solver, "solve", counting_solve)
+        # K4 plus a pendant vertex: the whole graph and its K4 core are the
+        # only vertex sets of their shapes
+        edges = list(itertools.combinations(range(4), 2)) + [(3, 4)]
+        assert find_bad_triple(Graph(5, edges), uniform_lists(5, (1, 2, 3))) is not None
+        assert shapes.count((5, 7)) == 1
+        assert shapes.count((4, 6)) == 1
 
     def test_core_satisfies_criticality(self):
         combos = ((2, 3), (3, 3))
