@@ -3,7 +3,7 @@ import json
 import pytest
 
 from listcolor.cli import cli_main
-from listcolor.graphs import power_cycle, read_graph, write_graph
+from listcolor.graphs import complete_multipartite, power_cycle, read_graph, write_graph
 from listcolor.lists import read_lists
 
 
@@ -139,6 +139,35 @@ class TestCertify:
         assert code == 0
         doc = json.loads(out.strip())
         assert doc["kind"] is None and doc["colorable"] is True
+
+    def test_pair_needs_two_lists(self, tmp_path, capsys):
+        k4 = tmp_path / "k4.txt"
+        k4.write_text(write_graph(complete_multipartite([1, 1, 1, 1])))
+        lists = tmp_path / "k4-lists.txt"
+        lists.write_text("sigma=3 k=3\n" + "\n".join(f"{v}: 1 2 3" for v in range(4)) + "\n")
+        code, out, err = run(capsys, "certify", "--graph", k4, "--lists", lists, "--kind", "pair")
+        assert (code, out) == (2, "")
+        assert "pair certificates need k=2 lists" in err
+
+    def test_tree_needs_girth_above_three(self, tmp_path, capsys):
+        k4 = tmp_path / "k4.txt"
+        k4.write_text(write_graph(complete_multipartite([1, 1, 1, 1])))
+        lists = tmp_path / "k4-lists.txt"
+        lists.write_text("sigma=3 k=3\n" + "\n".join(f"{v}: 1 2 3" for v in range(4)) + "\n")
+        code, out, err = run(capsys, "certify", "--graph", k4, "--lists", lists, "--kind", "tree")
+        assert (code, out) == (2, "")
+        assert "tree certificates need girth above 3" in err
+
+    def test_auto_stops_at_the_core_guard(self, tmp_path, capsys):
+        """Auto mode tries the triple first; C13 with every list {1,2} has a
+        13-vertex critical core, above the finder's guard of 12."""
+        c13 = tmp_path / "c13.txt"
+        c13.write_text(write_graph(power_cycle(13, 1)))
+        lists = tmp_path / "c13-lists.txt"
+        lists.write_text("sigma=2 k=2\n" + "\n".join(f"{v}: 1 2" for v in range(13)) + "\n")
+        code, out, err = run(capsys, "certify", "--graph", c13, "--lists", lists)
+        assert (code, out) == (1, "")
+        assert "critical core has 13 vertices, above the guard 12" in err
 
 
 class TestBound:

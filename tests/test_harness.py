@@ -6,7 +6,7 @@ import pytest
 
 from listcolor import harness
 from listcolor.errors import ConfigError, InvalidParameterError
-from listcolor.graphs import Graph, clique_union, complete_multipartite
+from listcolor.graphs import Graph, clique_union, complete_multipartite, petersen, power_cycle
 from listcolor.harness import (
     CorpusSpec,
     ExperimentConfig,
@@ -83,6 +83,16 @@ class TestRunPoint:
         failures = [r for r in point.records if r.colorable is False]
         assert failures
         assert all(r.certificate == "bad-triple" for r in failures)
+
+    def test_core_guard_is_recorded(self):
+        """Every list {1,2} on C13: the 13-vertex core is above the triple
+        finder's guard, so each trial records guard-exceeded."""
+        point = run_point(power_cycle(13, 1), 13, 2, 2, 3, 0, None, ("triple",))
+        assert [r.certificate for r in point.records] == ["guard-exceeded"] * 3
+
+    def test_tree_certificate_on_petersen(self):
+        point = run_point(petersen(), 10, 2, 2, 3, 0, None, ("tree",))
+        assert [(r.colorable, r.certificate) for r in point.records] == [(False, "tree-bad")] * 3
 
     def test_raising_trial_is_recorded_as_error(self, monkeypatch):
         """A trial whose solve raises becomes one "error" record; the other
