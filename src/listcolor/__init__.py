@@ -25,7 +25,6 @@ from .bounds import (
     tree_bad_expectation_bound,
 )
 from .certificates import (
-    AlternatingPath,
     OrderedSeq,
     ProperPair,
     ProperTriple,
@@ -33,17 +32,12 @@ from .certificates import (
     alternating_chain,
     build_proper_trees,
     certificate_to_json,
-    count_nonconsecutive,
-    count_proper_triples_by_m,
-    enumerate_proper_triples,
     find_2bad_pair,
     find_alternating_paths,
     find_bad_triple,
     find_tree_bad,
-    induced_rank,
     is_2bad_pair,
     is_bad_triple,
-    is_L_alternating,
     is_tree_bad,
     proper_tree_size,
 )
@@ -80,7 +74,6 @@ from .harness import (
     PointResult,
     SweepResult,
     TrialRecord,
-    identical_list_clique_count,
     p_half_crossing,
     run_point,
     sweep,

@@ -12,6 +12,9 @@ and a finder:
 
 Every checker is a pure function of its inputs; every finder returns a
 certificate that re-validates through the matching checker.
+
+CERTIFICATE_KINDS is the one registry of the three families, with the rule
+for which instances each can certify; `find_certificate` dispatches on it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import CertificateError, GuardExceededError, InvalidParameterError
 from .graphs import INFINITE_GIRTH, Graph, girth, vertex_set
@@ -137,6 +140,10 @@ class ProperTriple:
     @property
     def size(self) -> int:
         return len(self.vertices)
+
+    def _json_fields(self) -> dict:
+        rank = {str(v): r for v, r in sorted(self.rank.items())}
+        return {"vertices": list(self.vertices), "root": self.root, "rank": rank}
 
     def validate(self, g: Graph) -> None:
         vs = set(self.vertices)
@@ -475,6 +482,13 @@ class ProperPair:
     def vertex_count(self) -> int:
         return len(set(self.h1.vertices) | set(self.h2.vertices))
 
+    def _json_fields(self) -> dict:
+        sequences = [
+            {"shape": h.kind, "vertices": list(h.vertices), "closing_index": h.closing_index}
+            for h in (self.h1, self.h2)
+        ]
+        return {"first_vertex": self.first_vertex, "sequences": sequences}
+
     def validate(self, g: Graph) -> None:
         self.h1.validate(g)
         self.h2.validate(g)
@@ -649,6 +663,10 @@ class RootedProperTree:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(min(c, p), max(c, p)) for c, p in sorted(self.parent.items())]
+
+    def _json_fields(self) -> dict:
+        return {"parity": self.parity, "girth": self.girth, "k": self.k, "root": self.root,
+                "semiroot": self.semiroot, "edges": [list(e) for e in self.edges()]}
 
     def children(self) -> dict[int, list[int]]:
         ch: dict[int, list[int]] = {v: [] for v in self.vertices}
@@ -845,9 +863,12 @@ def find_tree_bad(
     max_trees: int = 10**6,
 ) -> RootedProperTree | None:
     """Search every root (and semiroot, for even girth) for a tree-bad
-    rooted k-proper tree; None when no tree qualifies within the guards."""
+    rooted k-proper tree; None when no tree qualifies within the guards.
+    Rooted proper trees need k >= 2."""
     if k is None:
         k = assignment.k
+    if k < 2:
+        raise InvalidParameterError(f"tree certificates need k >= 2, got k={k}")
     gv = girth(g)
     if gv == INFINITE_GIRTH:
         raise InvalidParameterError("tree certificates need a graph with finite girth")
@@ -862,41 +883,72 @@ def find_tree_bad(
 
 
 # ---------------------------------------------------------------------------
+# the certificate kinds
+
+
+@dataclass(frozen=True)
+class CertificateKind:
+    """One certificate family: `find(g, assignment)` gives a `cert_class`
+    instance or None; `check(g, assignment, certificate)` gives (ok,
+    witness coloring or None)."""
+
+    name: str  # in sweep configs and `listcolor certify --kind`
+    label: str  # the JSON "kind" and the records.csv `certificate` value
+    cert_class: type
+    find: Callable
+    check: Callable
+
+    def obstacle(self, k: int, g: Graph) -> str | None:
+        """Why no certificate of this kind can exist for k-lists on g, or
+        None when one can.  A bad proper triple exists for every
+        uncolorable instance; a 2-bad pair needs 2-lists; a rooted proper
+        tree needs k >= 2 and a finite girth above three."""
+        if self.name == "pair" and k != 2:
+            return "pair certificates need k=2 lists"
+        if self.name == "tree":
+            if k < 2:
+                return "tree certificates need k >= 2 lists"
+            if not 3 < girth(g) < INFINITE_GIRTH:
+                return "tree certificates need girth above 3"
+        return None
+
+
+# In the order `listcolor certify --kind auto` tries them.  The lambdas look
+# the finders and checkers up when called, so a replaced module function is
+# the one that runs.
+CERTIFICATE_KINDS = {kind.name: kind for kind in (
+    CertificateKind("triple", "bad-triple", ProperTriple, lambda g, a: find_bad_triple(g, a),
+                    lambda g, a, cert: is_bad_triple(g, a, cert)),
+    # a pair's witness is two color chains, not a coloring: the JSON omits it
+    CertificateKind("pair", "2bad-pair", ProperPair, lambda g, a: find_2bad_pair(g, a),
+                    lambda g, a, cert: (is_2bad_pair(g, a, cert)[0], None)),
+    CertificateKind("tree", "tree-bad", RootedProperTree, lambda g, a: find_tree_bad(g, a),
+                    lambda g, a, cert: is_tree_bad(cert, a)),
+)}
+
+
+def find_certificate(g: Graph, assignment: ListAssignment, kind: str):
+    """(certificate, ok, witness) from the `kind` finder and its checker, or
+    None when the finder finds nothing.  Callers skip kinds with an
+    `obstacle` first."""
+    entry = CERTIFICATE_KINDS[kind]
+    cert = entry.find(g, assignment)
+    if cert is None:
+        return None
+    ok, witness = entry.check(g, assignment, cert)
+    return cert, ok, witness
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
 def certificate_to_json(cert, witness: Coloring | None = None) -> dict:
     """Schema documented in docs/formats.md."""
-    if isinstance(cert, ProperTriple):
-        doc = {
-            "kind": "bad-triple",
-            "vertices": list(cert.vertices),
-            "root": cert.root,
-            "rank": {str(v): r for v, r in sorted(cert.rank.items())},
-        }
-    elif isinstance(cert, ProperPair):
-        doc = {
-            "kind": "2bad-pair",
-            "first_vertex": cert.first_vertex,
-            "sequences": [
-                {
-                    "shape": h.kind,
-                    "vertices": list(h.vertices),
-                    "closing_index": h.closing_index,
-                }
-                for h in (cert.h1, cert.h2)
-            ],
-        }
-    elif isinstance(cert, RootedProperTree):
-        doc = {
-            "kind": "tree-bad",
-            "parity": cert.parity,
-            "girth": cert.girth,
-            "k": cert.k,
-            "root": cert.root,
-            "semiroot": cert.semiroot,
-            "edges": [list(e) for e in cert.edges()],
-        }
+    for kind in CERTIFICATE_KINDS.values():
+        if isinstance(cert, kind.cert_class):
+            doc = {"kind": kind.label, **cert._json_fields()}
+            break
     else:
         raise InvalidParameterError(f"unknown certificate type {type(cert).__name__}")
     if witness is not None:

@@ -11,21 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
 from . import bounds, certificates as certs
 from .errors import ListColorError
-from .graphs import (
-    clique_union,
-    complete_multipartite,
-    girth,
-    petersen,
-    power_cycle,
-    read_graph,
-    write_graph,
-)
+from .graphs import FAMILIES, read_graph, write_graph
 from .harness import CorpusSpec, ExperimentConfig, sweep, verify_lemmas
 from .lists import SeedSpec, read_lists, sample_assignment, write_lists
 from .solver import solve
@@ -54,20 +45,13 @@ def _load_graph(path: str):
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "power-cycle":
-        _require(args.n is not None and args.r is not None, "power-cycle needs --n and --r")
-        g = power_cycle(args.n, args.r)
-    elif args.family == "clique-union":
-        _require(args.n is not None and args.delta is not None,
-                 "clique-union needs --n and --delta")
-        g = clique_union(args.n, args.delta)
-    elif args.family == "complete-multipartite":
-        _require(args.parts is not None, "complete-multipartite needs --parts")
-        sizes = [int(p) for p in args.parts.split(",") if p.strip()]
-        g = complete_multipartite(sizes)
-    else:
-        g = petersen()
-    _write_out(write_graph(g), args.out)
+    generator, arg_names = FAMILIES[args.family.replace("-", "_")]
+    values = [getattr(args, name) for name in arg_names]
+    _require(None not in values,
+             f"{args.family} needs " + " and ".join(f"--{name}" for name in arg_names))
+    if "parts" in arg_names:  # the only list argument: comma-separated sizes
+        values = [[int(p) for p in args.parts.split(",") if p.strip()]]
+    _write_out(write_graph(generator(*values)), args.out)
     return 0
 
 
@@ -98,40 +82,18 @@ def _cmd_certify(args) -> int:
     if solve(g, assignment).colorable:
         print(json.dumps({"kind": None, "colorable": True}))
         return 0
-    docs = []
-    kinds = ("triple", "pair", "tree") if args.kind == "auto" else (args.kind,)
-    for kind in kinds:
-        if kind == "triple":
-            triple = certs.find_bad_triple(g, assignment)
-            if triple is not None:
-                _, witness = certs.is_bad_triple(g, assignment, triple)
-                docs.append(certs.certificate_to_json(triple, witness))
-                if args.kind == "auto":
-                    break
-        elif kind == "pair":
-            if assignment.k != 2:
-                _require(args.kind == "auto", "pair certificates need k=2 lists")
-                continue
-            pair = certs.find_2bad_pair(g, assignment)
-            if pair is not None:
-                docs.append(certs.certificate_to_json(pair))
-                if args.kind == "auto":
-                    break
-        elif kind == "tree":
-            gv = girth(g)
-            if gv == math.inf or gv <= 3:
-                _require(args.kind == "auto", "tree certificates need girth above 3")
-                continue
-            tree = certs.find_tree_bad(g, assignment)
-            if tree is not None:
-                _, witness = certs.is_tree_bad(tree, assignment)
-                docs.append(certs.certificate_to_json(tree, witness))
-                if args.kind == "auto":
-                    break
-    for doc in docs:
-        print(json.dumps(doc, sort_keys=True))
-    if not docs:
-        print(json.dumps({"kind": None, "colorable": False, "note": "no certificate found"}))
+    kinds = certs.CERTIFICATE_KINDS if args.kind == "auto" else (args.kind,)
+    for name in kinds:
+        reason = certs.CERTIFICATE_KINDS[name].obstacle(assignment.k, g)
+        if reason is not None:
+            _require(args.kind == "auto", reason)
+            continue
+        found = certs.find_certificate(g, assignment, name)
+        if found is not None:
+            cert, _, witness = found
+            print(json.dumps(certs.certificate_to_json(cert, witness), sort_keys=True))
+            return 0
+    print(json.dumps({"kind": None, "colorable": False, "note": "no certificate found"}))
     return 0
 
 
@@ -248,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a generated graph in text format")
     p.add_argument("--family", required=True,
-                   choices=["power-cycle", "clique-union", "complete-multipartite", "petersen"])
+                   choices=[name.replace("_", "-") for name in FAMILIES])
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--delta", type=int)
@@ -277,19 +239,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="extract a non-colorability certificate as JSON")
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True)
-    p.add_argument("--kind", choices=["triple", "pair", "tree", "auto"], default="auto")
+    p.add_argument("--kind", choices=[*certs.CERTIFICATE_KINDS, "auto"], default="auto")
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("bound", help="evaluate an analytic bound, emitting JSON lines")
     p.add_argument(
         "--bound",
         required=True,
-        help="quantity name: a formula (eq:expect, eq:probcliques, eq:pathsum, "
-        "eq:chebyshev, eq:Qk, pi:cliques, lem:bad, lem:numbersubgraphs, lem:2bad, "
-        "lem:2numbersubgraphs, sum:triples, sum:pairs, tree:expect), a threshold "
-        "regime (th:main1, th:main2, prop1, prop2, prop3, prop:girth, prop:girth2, "
-        "prop:verylargegirth, th:nonconstant1, th:nonconstant2, prop:largek), or "
-        "'regimes' for every applicable regime",
+        help=f"quantity name: a formula ({', '.join(_BOUND_SPECS)}), a threshold "
+        f"regime ({', '.join(bounds.REGIME_NAMES)}), or 'regimes' for every "
+        "applicable regime",
     )
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=int)

@@ -1,8 +1,9 @@
 """Immutable simple undirected graphs with dense integer vertex ids.
 
 Vertices are always 0..n-1.  Generators are deterministic (no RNG), so
-experiment provenance lives entirely in the list sampler.  Graph values are
-immutable after construction and safe to share across workers.
+experiment provenance lives entirely in the list sampler; FAMILIES is the one
+registry of them that configs and the CLI read.  Graph values are immutable
+after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ class Graph:
     """Simple undirected graph: no self-loops, no duplicate edges.
 
     Edges are stored as a frozenset of (u, v) pairs with u < v; per-vertex
-    sorted neighbor tuples are derived at construction.
+    sorted neighbor tuples are derived at construction.  The girth is
+    computed by `girth` on first use and kept in the `_girth` slot.
     """
 
-    __slots__ = ("n", "edges", "adjacency")
+    __slots__ = ("n", "edges", "adjacency", "_girth")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -42,6 +44,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "_girth", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -154,6 +157,17 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
+# family name (as in sweep configs; the CLI spells it with hyphens) ->
+# (generator, the names of its positional arguments).  `parts` is the list of
+# part sizes; every other argument is an integer.
+FAMILIES = {
+    "clique_union": (clique_union, ("n", "delta")),
+    "power_cycle": (power_cycle, ("n", "r")),
+    "complete_multipartite": (complete_multipartite, ("parts",)),
+    "petersen": (petersen, ()),
+}
+
+
 # ---------------------------------------------------------------------------
 # structural queries
 
@@ -162,8 +176,11 @@ def girth(g: Graph):
     """Length of a shortest cycle, or INFINITE_GIRTH for forests.
 
     BFS from every vertex, O(n*m); the only super-linear structural query in
-    this module, acceptable at desk scale.
+    this module.  It runs once per graph: the value is kept in the graph, and
+    later calls return it.
     """
+    if g._girth is not None:
+        return g._girth
     best = INFINITE_GIRTH
     for s in range(g.n):
         dist = {s: 0}
@@ -181,6 +198,7 @@ def girth(g: Graph):
                     cand = dist[v] + dist[w] + 1
                     if cand < best:
                         best = cand
+    object.__setattr__(g, "_girth", best)
     return best
 
 

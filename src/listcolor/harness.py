@@ -16,6 +16,10 @@ run_point forks a Pool whose workers inherit that graph at fork time (it is
 an initializer argument, which fork does not pickle); each job carries only
 the trial's seed coordinates.  A trial that raises an unexpected exception
 is recorded with status "error" instead of ending the sweep.
+
+Graph families and certificate kinds come from one registry each,
+graphs.FAMILIES and certificates.CERTIFICATE_KINDS; a trial tries only the
+requested kinds whose `obstacle` is None for its k and graph.
 """
 
 from __future__ import annotations
@@ -31,14 +35,7 @@ from pathlib import Path
 from . import certificates as certs
 from .corpus import corpus_assignments, default_combos, small_connected_graphs
 from .errors import ConfigError, GuardExceededError, InvalidParameterError, SolveTimeout
-from .graphs import (
-    Graph,
-    clique_union,
-    complete_multipartite,
-    girth,
-    petersen,
-    power_cycle,
-)
+from .graphs import FAMILIES, Graph, girth
 from .lists import ListAssignment, SeedSpec, derive_seed, sample_assignment
 from .scaling import ScalingExpr, parse_scaling
 from .solver import solve
@@ -65,15 +62,6 @@ _CONFIG_KEYS = (
     "family_params", "k", "base_seed", "timeout_seconds", "certificates", "workers",
     "output_dir",
 )
-# graph family -> the family_params keys its builder needs
-_FAMILY_PARAMS = {
-    "clique_union": ("delta",),
-    "power_cycle": ("r",),
-    "complete_multipartite": ("parts",),
-    "petersen": (),
-}
-# certificate detector kind -> the label a trial records when it finds one
-_CERTIFICATE_KINDS = {"triple": "bad-triple", "pair": "2bad-pair", "tree": "tree-bad"}
 
 
 # ---------------------------------------------------------------------------
@@ -88,29 +76,25 @@ class GraphFamily:
     params: dict
 
     def build(self, n: int) -> Graph:
-        def as_int(key, default=None):
-            raw = self.params.get(key, default)
-            if raw is None:
-                raise ConfigError(f"family {self.name!r} needs parameter {key!r}")
-            if isinstance(raw, ScalingExpr):
-                return raw.evaluate_int(n)
-            return int(raw)
+        if self.name not in FAMILIES:
+            raise ConfigError(f"unknown graph family {self.name!r}")
 
-        if self.name == "clique_union":
-            return clique_union(n, as_int("delta"))
-        if self.name == "power_cycle":
-            return power_cycle(n, as_int("r"))
-        if self.name == "complete_multipartite":
-            parts = self.params.get("parts")
-            if not parts:
-                raise ConfigError("complete_multipartite needs a 'parts' list")
-            sizes = [
-                p.evaluate_int(n) if isinstance(p, ScalingExpr) else int(p) for p in parts
-            ]
-            return complete_multipartite(sizes)
-        if self.name == "petersen":
-            return petersen()
-        raise ConfigError(f"unknown graph family {self.name!r}")
+        def as_int(raw):
+            return raw.evaluate_int(n) if isinstance(raw, ScalingExpr) else int(raw)
+
+        generator, arg_names = FAMILIES[self.name]
+        args = []
+        for key in arg_names:
+            raw = n if key == "n" else self.params.get(key)
+            if raw is None or raw == []:
+                raise ConfigError(f"family {self.name!r} needs parameter {key!r}")
+            args.append([as_int(p) for p in raw] if key == "parts" else as_int(raw))
+        return generator(*args)
+
+
+def _family_params(name: str) -> list[str]:
+    """The family_params keys a family needs: its generator's arguments but n."""
+    return [key for key in FAMILIES[name][1] if key != "n"]
 
 
 def _coerce_expr(raw) -> ScalingExpr:
@@ -209,31 +193,27 @@ def _check_run_args(timeout_seconds, certificate_kinds, workers, error) -> None:
         raise error(
             f"timeout_seconds must be a non-negative number or null, got {timeout_seconds!r}"
         )
-    unknown = [kind for kind in certificate_kinds if kind not in _CERTIFICATE_KINDS]
+    unknown = [kind for kind in certificate_kinds if kind not in certs.CERTIFICATE_KINDS]
     if unknown:
         raise error(
-            f"unknown certificate kinds {unknown}; known: {', '.join(_CERTIFICATE_KINDS)}"
+            f"unknown certificate kinds {unknown}; known: {', '.join(certs.CERTIFICATE_KINDS)}"
         )
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise error(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _detect_certificate(g, assignment, kinds) -> str:
-    """Label of the first certificate found, trying `kinds` in order."""
-    for kind in kinds:
+    """Label of the first certificate found, trying the applicable `kinds`
+    in order; "guard-exceeded" when a finder hits its guard first."""
+    for name in kinds:
+        kind = certs.CERTIFICATE_KINDS[name]
+        if kind.obstacle(assignment.k, g) is not None:
+            continue
         try:
-            if kind == "triple":
-                found = certs.find_bad_triple(g, assignment) is not None
-            elif kind == "pair":
-                found = assignment.k == 2 and certs.find_2bad_pair(g, assignment) is not None
-            else:
-                gv = girth(g)
-                found = (gv != math.inf and gv > 3
-                         and certs.find_tree_bad(g, assignment) is not None)
+            if kind.find(g, assignment) is not None:
+                return kind.label
         except GuardExceededError:
             return "guard-exceeded"
-        if found:
-            return _CERTIFICATE_KINDS[kind]
     return "none"
 
 
@@ -376,9 +356,9 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config keys {missing}")
         family_name = raw["family"]
-        if not isinstance(family_name, str) or family_name not in _FAMILY_PARAMS:
+        if not isinstance(family_name, str) or family_name not in FAMILIES:
             raise ConfigError(
-                f"unknown graph family {family_name!r}; known: {', '.join(_FAMILY_PARAMS)}"
+                f"unknown graph family {family_name!r}; known: {', '.join(FAMILIES)}"
             )
         try:
             n_grid = tuple(int(x) for x in raw["n_grid"])
@@ -392,11 +372,11 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be non-empty")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
-        known_params = {key for keys in _FAMILY_PARAMS.values() for key in keys}
+        known_params = {key for name in FAMILIES for key in _family_params(name)}
         unknown = sorted(set(raw_params) - known_params)
         if unknown:
             raise ConfigError(f"unknown family_params keys {unknown}")
-        missing = [key for key in _FAMILY_PARAMS[family_name] if key not in raw_params]
+        missing = [key for key in _family_params(family_name) if key not in raw_params]
         if missing:
             raise ConfigError(f"family {family_name!r} needs family_params {missing}")
         params = {}
@@ -605,11 +585,12 @@ class LemmaReport:
 def verify_lemmas(spec: CorpusSpec | None = None) -> LemmaReport:
     """Run the three certificate oracle suites over the canonical corpus.
 
-    For every uncolorable sampled instance: a bad proper triple must exist
-    and re-validate; at k=2 a 2-bad pair must exist and satisfy all three
-    pair conditions; at girth above three a tree-bad rooted tree must exist.
-    Counterexamples (there should be none; these are proved implications)
-    are returned as report content, not raised.
+    For every uncolorable sampled instance and every certificate kind whose
+    `obstacle` is None (proper triples always; pairs at k=2; rooted proper
+    trees at k >= 2 and girth above three), the finder must find a bad one
+    and it must re-validate.  Counterexamples (there should be
+    none; these are proved implications) are returned as report content,
+    not raised.
     """
     spec = spec or CorpusSpec()
     report = LemmaReport()
@@ -625,45 +606,22 @@ def verify_lemmas(spec: CorpusSpec | None = None) -> LemmaReport:
             report.uncolorable += 1
             where = {"graph_index": gi, "assignment_index": ai,
                      "k": assignment.k, "sigma": assignment.sigma}
-
-            report.triple_checks += 1
-            triple = certs.find_bad_triple(g, assignment)
-            if triple is None:
-                report.counterexamples.append({**where, "lemma": "triple", "failure": "not found"})
-            else:
-                ok, _ = certs.is_bad_triple(g, assignment, triple)
-                if not ok:
+            for kind in certs.CERTIFICATE_KINDS.values():
+                if kind.obstacle(assignment.k, g) is not None:
+                    continue
+                counter = f"{kind.name}_checks"  # one LemmaReport field per kind
+                setattr(report, counter, getattr(report, counter) + 1)
+                if kind.name == "tree":
+                    if int(gv) % 2:
+                        report.odd_tree_checks += 1
+                    else:
+                        report.even_tree_checks += 1
+                found = certs.find_certificate(g, assignment, kind.name)
+                if found is None or not found[1]:
+                    failure = "not found" if found is None else "failed revalidation"
                     report.counterexamples.append(
-                        {**where, "lemma": "triple", "failure": "failed revalidation"}
+                        {**where, "lemma": kind.name, "failure": failure}
                     )
-
-            if assignment.k == 2:
-                report.pair_checks += 1
-                pair = certs.find_2bad_pair(g, assignment)
-                if pair is None:
-                    report.counterexamples.append({**where, "lemma": "pair", "failure": "not found"})
-                else:
-                    ok, _ = certs.is_2bad_pair(g, assignment, pair)
-                    if not ok:
-                        report.counterexamples.append(
-                            {**where, "lemma": "pair", "failure": "failed revalidation"}
-                        )
-
-            if gv != math.inf and gv > 3:
-                report.tree_checks += 1
-                if int(gv) % 2:
-                    report.odd_tree_checks += 1
-                else:
-                    report.even_tree_checks += 1
-                tree = certs.find_tree_bad(g, assignment)
-                if tree is None:
-                    report.counterexamples.append({**where, "lemma": "tree", "failure": "not found"})
-                else:
-                    ok, _ = certs.is_tree_bad(tree, assignment)
-                    if not ok:
-                        report.counterexamples.append(
-                            {**where, "lemma": "tree", "failure": "failed revalidation"}
-                        )
     return report
 
 

@@ -430,6 +430,17 @@ class TestProperTrees:
         assert tree is not None and tree.parity == ODD
         assert is_tree_bad(tree, a)[0]
 
+    def test_trees_need_two_lists(self):
+        """k=1 has no rooted proper tree: proper_tree_size rejects it, and so
+        do the finder and the kind's applicability rule."""
+        g, a = petersen(), ListAssignment(1, 1, [(1,)] * 10)
+        with pytest.raises(InvalidParameterError):
+            find_tree_bad(g, a)
+        assert certs.CERTIFICATE_KINDS["tree"].obstacle(1, g) == (
+            "tree certificates need k >= 2 lists"
+        )
+        assert certs.CERTIFICATE_KINDS["tree"].obstacle(2, g) is None
+
     def test_k33_crafted_assignment_yields_even_tree(self):
         g = complete_multipartite([3, 3])
         a = ListAssignment(3, 2, [(1, 2), (1, 3), (2, 3), (1, 2), (1, 3), (2, 3)])

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
-from listcolor.cli import cli_main
+from listcolor.bounds import REGIME_NAMES
+from listcolor.cli import _BOUND_SPECS, cli_main
 from listcolor.graphs import complete_multipartite, power_cycle, read_graph, write_graph
 from listcolor.lists import read_lists
 
@@ -158,6 +160,14 @@ class TestCertify:
         assert (code, out) == (2, "")
         assert "tree certificates need girth above 3" in err
 
+    def test_tree_needs_two_lists(self, c5_file, tmp_path, capsys):
+        lists = tmp_path / "ones.txt"
+        lists.write_text("sigma=1 k=1\n" + "\n".join(f"{v}: 1" for v in range(5)) + "\n")
+        code, out, err = run(capsys, "certify", "--graph", c5_file, "--lists", lists,
+                             "--kind", "tree")
+        assert (code, out) == (2, "")
+        assert "tree certificates need k >= 2 lists" in err
+
     def test_auto_stops_at_the_core_guard(self, tmp_path, capsys):
         """Auto mode tries the triple first; C13 with every list {1,2} has a
         13-vertex critical core, above the finder's guard of 12."""
@@ -208,6 +218,21 @@ class TestBound:
     def test_unknown_bound_name(self, capsys):
         code, _, err = run(capsys, "bound", "--bound=eq:nope", "--n=4")
         assert code == 2 and "unknown bound" in err
+
+    def test_every_name_in_help_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "bound", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        formulas, regimes, everything = re.search(
+            r"quantity name: a formula \((.*?)\), a threshold regime \((.*?)\), or '(\w+)'",
+            text,
+        ).groups()
+        names = [*formulas.split(", "), *regimes.split(", "), everything]
+        assert set(names) == {*_BOUND_SPECS, *REGIME_NAMES, "regimes"}
+        for name in names:
+            # no numeric flags: each known name asks for its first missing one
+            code, _, err = run(capsys, "bound", f"--bound={name}")
+            assert code == 2 and f"--bound={name} needs --" in err, name
 
 
 class TestSweepCommand:

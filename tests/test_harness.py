@@ -4,9 +4,20 @@ from pathlib import Path
 
 import pytest
 
+from listcolor import certificates as certs
 from listcolor import harness
+from listcolor.certificates import CERTIFICATE_KINDS, certificate_to_json, find_certificate
+from listcolor.cli import _build_parser
+from listcolor.corpus import small_connected_graphs
 from listcolor.errors import ConfigError, InvalidParameterError
-from listcolor.graphs import Graph, clique_union, complete_multipartite, petersen, power_cycle
+from listcolor.graphs import (
+    FAMILIES,
+    Graph,
+    clique_union,
+    complete_multipartite,
+    petersen,
+    power_cycle,
+)
 from listcolor.harness import (
     CorpusSpec,
     ExperimentConfig,
@@ -94,6 +105,12 @@ class TestRunPoint:
         point = run_point(petersen(), 10, 2, 2, 3, 0, None, ("tree",))
         assert [(r.colorable, r.certificate) for r in point.records] == [(False, "tree-bad")] * 3
 
+    def test_no_tree_certificate_at_k_one(self):
+        """With 1-lists from {1} Petersen is uncolorable, but no rooted
+        proper tree exists for k=1: nothing is found."""
+        point = run_point(petersen(), 10, 1, 1, 2, 3, None, ("tree",))
+        assert [(r.colorable, r.certificate) for r in point.records] == [(False, "none")] * 2
+
     def test_raising_trial_is_recorded_as_error(self, monkeypatch):
         """A trial whose solve raises becomes one "error" record; the other
         trials of the point still run and the estimate skips it."""
@@ -130,6 +147,39 @@ class TestRunPoint:
     def test_bad_arguments_rejected_before_any_trial(self, kwargs):
         with pytest.raises(InvalidParameterError):
             run_point(GraphFamily("clique_union", {"delta": 2}), 9, 2, 3, 10, 5, **kwargs)
+
+
+def count_girth_computations(monkeypatch) -> list:
+    """Wrap harness.girth and certificates.girth; the returned list gets one
+    entry per call on a graph that does not hold its girth yet, i.e. per
+    call that runs the BFS."""
+    computed = []
+
+    def counting(original):
+        def wrapper(g):
+            if getattr(g, "_girth", None) is None:
+                computed.append(g)
+            return original(g)
+        return wrapper
+
+    monkeypatch.setattr(harness, "girth", counting(harness.girth))
+    monkeypatch.setattr(certs, "girth", counting(certs.girth))
+    return computed
+
+
+class TestGirthOncePerGraph:
+    def test_run_point_computes_girth_once(self, monkeypatch):
+        computed = count_girth_computations(monkeypatch)
+        point = run_point(petersen(), 10, 2, 2, 10, 7, None, ("tree",))
+        assert [r.certificate for r in point.records] == ["tree-bad"] * 10
+        assert len(computed) <= 1
+
+    def test_verify_lemmas_computes_girth_once_per_graph(self, monkeypatch):
+        small_connected_graphs.cache_clear()  # fresh graphs, no girth stored
+        computed = count_girth_computations(monkeypatch)
+        report = verify_lemmas(CorpusSpec(7, 5))
+        assert report.passed and report.tree_checks > 0
+        assert len(computed) == len(small_connected_graphs(7)) == 996
 
 
 class TestWilson:
@@ -236,14 +286,29 @@ class TestConfigSchema:
         assert set(SCHEMA["properties"]) == set(harness._CONFIG_KEYS)
         assert set(SCHEMA["required"]) == set(harness._REQUIRED_KEYS)
 
-    def test_family_names_and_params_match(self):
-        assert SCHEMA["properties"]["family"]["enum"] == list(harness._FAMILY_PARAMS)
-        params = {key for keys in harness._FAMILY_PARAMS.values() for key in keys}
-        assert set(SCHEMA["properties"]["family_params"]["properties"]) == params
+    def test_registries_match_every_surface(self):
+        """graphs.FAMILIES and certificates.CERTIFICATE_KINDS are the only
+        lists of families and certificate kinds: the CLI choices, the schema
+        enums and the JSON labels all equal them."""
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
 
-    def test_certificate_kinds_match(self):
-        enum = SCHEMA["properties"]["certificates"]["items"]["enum"]
-        assert enum == list(harness._CERTIFICATE_KINDS)
+        def choices(command, dest):
+            return next(a for a in commands[command]._actions if a.dest == dest).choices
+
+        assert choices("gen", "family") == [name.replace("_", "-") for name in FAMILIES]
+        assert choices("certify", "kind") == [*CERTIFICATE_KINDS, "auto"]
+        assert SCHEMA["properties"]["family"]["enum"] == list(FAMILIES)
+        params = {key for _, keys in FAMILIES.values() for key in keys} - {"n"}
+        assert set(SCHEMA["properties"]["family_params"]["properties"]) == params
+        assert SCHEMA["properties"]["certificates"]["items"]["enum"] == list(CERTIFICATE_KINDS)
+        c5, forced = power_cycle(5, 1), ListAssignment(2, 2, [(1, 2)] * 5)
+        labels = [
+            certificate_to_json(find_certificate(c5, forced, name)[0])["kind"]
+            for name in CERTIFICATE_KINDS
+        ]
+        assert labels == [kind.label for kind in CERTIFICATE_KINDS.values()]
+        assert labels == ["bad-triple", "2bad-pair", "tree-bad"]
 
     def test_every_schema_key_accepted(self):
         config = small_config(
