@@ -286,10 +286,19 @@ class TestConfigSchema:
         assert set(SCHEMA["properties"]) == set(harness._CONFIG_KEYS)
         assert set(SCHEMA["required"]) == set(harness._REQUIRED_KEYS)
 
+    def test_family_names_and_params_match(self):
+        assert SCHEMA["properties"]["family"]["enum"] == list(FAMILIES)
+        params = {key for _, keys in FAMILIES.values() for key in keys} - {"n"}
+        assert set(SCHEMA["properties"]["family_params"]["properties"]) == params
+
+    def test_certificate_kinds_match(self):
+        enum = SCHEMA["properties"]["certificates"]["items"]["enum"]
+        assert enum == list(CERTIFICATE_KINDS)
+
     def test_registries_match_every_surface(self):
         """graphs.FAMILIES and certificates.CERTIFICATE_KINDS are the only
-        lists of families and certificate kinds: the CLI choices, the schema
-        enums and the JSON labels all equal them."""
+        lists of families and certificate kinds: the CLI choices and the JSON
+        labels equal them (the schema enums are checked above)."""
         parser = _build_parser()
         commands = next(a for a in parser._actions if a.dest == "command").choices
 
@@ -298,10 +307,6 @@ class TestConfigSchema:
 
         assert choices("gen", "family") == [name.replace("_", "-") for name in FAMILIES]
         assert choices("certify", "kind") == [*CERTIFICATE_KINDS, "auto"]
-        assert SCHEMA["properties"]["family"]["enum"] == list(FAMILIES)
-        params = {key for _, keys in FAMILIES.values() for key in keys} - {"n"}
-        assert set(SCHEMA["properties"]["family_params"]["properties"]) == params
-        assert SCHEMA["properties"]["certificates"]["items"]["enum"] == list(CERTIFICATE_KINDS)
         c5, forced = power_cycle(5, 1), ListAssignment(2, 2, [(1, 2)] * 5)
         labels = [
             certificate_to_json(find_certificate(c5, forced, name)[0])["kind"]
