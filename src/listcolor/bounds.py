@@ -282,6 +282,33 @@ def proper_triple_count_bound(n: int, delta: int, m: int) -> BoundReport:
     )
 
 
+def _triple_series(n, delta, k, sigma, m_lo, m_hi, delta_power):
+    """(log of sum_{m=m_lo..m_hi} n * Delta^(delta_power*(m-1)) * (m-1)! *
+    [the per-triple probability bound], log of the ratio of the term after
+    the last to the last).  Needs m_lo <= m_hi."""
+    step = (
+        delta_power * _log_of(delta)
+        + _log_of(sigma)
+        + log_comb(delta * k, k - 1)
+        - log_comb(sigma, k)
+    )
+    current = (
+        _log_of(n)
+        + (delta_power * (m_lo - 1)) * _log_of(delta)
+        + log_factorial(m_lo - 1)
+        + (m_lo - 1) * _log_of(sigma)
+        + log_comb(delta, k)
+        + (m_lo - 1) * log_comb(delta * k, k - 1)
+        - m_lo * log_comb(sigma, k)
+    )
+    total = _NEG_INF
+    for m in range(m_lo, m_hi + 1):
+        total = _log_add(total, current)
+        last_growth = step + math.log(m)  # log of term(m+1)/term(m)
+        current += last_growth
+    return total, last_growth
+
+
 def bad_triple_expectation_sum(
     n: int,
     delta: int,
@@ -308,30 +335,7 @@ def bad_triple_expectation_sum(
     params = {"n": n, "delta": delta, "k": k, "sigma": sigma, "m_lo": m_lo, "m_hi": m_hi}
     if m_lo > m_hi or n == 0 or delta == 0:
         return BoundReport("sum:triples", params, LogValue.zero(), UPPER_BOUND)
-
-    def term(m: int) -> float:
-        return (
-            _log_of(n)
-            + (2 * m - 2) * _log_of(delta)
-            + log_factorial(m - 1)
-            + (m - 1) * _log_of(sigma)
-            + log_comb(delta, k)
-            + (m - 1) * log_comb(delta * k, k - 1)
-            - m * log_comb(sigma, k)
-        )
-
-    step = (
-        2 * _log_of(delta)
-        + _log_of(sigma)
-        + log_comb(delta * k, k - 1)
-        - log_comb(sigma, k)
-    )
-    total = _NEG_INF
-    current = term(m_lo)
-    for m in range(m_lo, m_hi + 1):
-        total = _log_add(total, current)
-        last_growth = step + math.log(m)  # log of term(m+1)/term(m)
-        current += last_growth
+    total, last_growth = _triple_series(n, delta, k, sigma, m_lo, m_hi, 2)
     divergent = last_growth >= 0
     log_ratio = k * math.log(k) + (k * k + 2 * k) * _log_of(delta) - (k - 1) * _log_of(sigma)
     extras: dict = {"geometric_ratio": math.exp(min(log_ratio, 700.0))}
@@ -495,33 +499,36 @@ def tree_bad_expectation_bound(n: int, delta: int, k: int, sigma: int, g: int) -
 # ---------------------------------------------------------------------------
 # threshold regimes
 #
-# Each entry evaluates one proposition's sigma-threshold at concrete
-# parameters, reports sigma/threshold, and attaches the matching expectation
-# bound where the derivation provides one.  Exponents below are encoded as
-# reviewed constants.
-
-REGIME_NAMES = (
-    "th:main1",
-    "th:main2",
-    "prop1",
-    "prop2",
-    "prop3",
-    "prop:girth",
-    "prop:girth2",
-    "prop:verylargegirth",
-    "th:nonconstant1",
-    "th:nonconstant2",
-    "prop:largek",
-)
+# Each regime function evaluates one proposition's sigma-threshold at
+# concrete parameters, reports sigma/threshold, and attaches the matching
+# expectation bound where the derivation provides one.  Outside its regime
+# (missing or too small a girth, k or s out of range, or parameters its
+# formulas cannot take) it raises RegimeError, and the catalog skips it.
+# Exponents below are encoded as reviewed constants.
 
 
-def _threshold_report(name, params, log_threshold, sigma, interpretation=LOWER_BOUND, extras=None):
+class _Point:
+    """The parameters of one catalog call, with the logs its regimes share."""
+
+    def __init__(self, n, delta, k, sigma, g, s, alpha, eps):
+        self.n, self.delta, self.k, self.sigma = n, delta, k, sigma
+        self.g, self.s, self.alpha, self.eps = g, s, alpha, eps
+        self.ln_n, self.ln_delta = math.log(n), math.log(delta)
+        self.params = {"n": n, "delta": delta, "k": k, "sigma": sigma}
+
+
+def _need(ok: bool, name: str, reason: str) -> None:
+    if not ok:
+        raise RegimeError(f"{name}: {reason}")
+
+
+def _threshold_report(name, params, log_threshold, sigma, extras=None):
     extras = dict(extras or {})
     log_sigma = math.log(sigma)
     extras["threshold"] = LogValue(log_threshold)
     extras["sigma_over_threshold"] = math.exp(min(log_sigma - log_threshold, 700.0))
     extras["clears_threshold"] = log_sigma > log_threshold
-    return BoundReport(name, params, LogValue(log_threshold), interpretation, extras=extras)
+    return BoundReport(name, params, LogValue(log_threshold), LOWER_BOUND, extras=extras)
 
 
 def _attach_bound(report: BoundReport, bound: BoundReport) -> BoundReport:
@@ -534,42 +541,209 @@ def _attach_bound(report: BoundReport, bound: BoundReport) -> BoundReport:
     return report
 
 
-def _triple_sum_plain_delta(n, delta, k, sigma, m_lo, term_cap=10**6):
-    """sum_m n * Delta^(m-1) * (m-1)! * [per-triple probability bound]: the
-    girth-regime variant of the triple sum, with a single Delta^(m-1).
+def _default_alpha(name: str, p: _Point) -> float:
+    """The given alpha, else log(ln n / ln Delta) / ln k (1 when Delta = 1)."""
+    if p.alpha is not None:
+        return p.alpha
+    if p.delta == 1:
+        return 1.0
+    _need(p.n >= 2, name, "needs n >= 2 for the default alpha")
+    return math.log(p.ln_n / p.ln_delta) / math.log(p.k)
 
-    m_lo is the minimum core size (the girth-g tree size at list size k+1);
-    the sum is capped at Delta^((k-1)*m_lo + 1) and at term_cap terms."""
-    cap = delta ** ((k - 1) * m_lo + 1) if delta > 1 else m_lo
-    m_hi = min(cap, m_lo + term_cap - 1)
-    total = _NEG_INF
-    current = (
-        _log_of(n)
-        + (m_lo - 1) * _log_of(delta)
-        + log_factorial(m_lo - 1)
-        + (m_lo - 1) * _log_of(sigma)
-        + log_comb(delta, k)
-        + (m_lo - 1) * log_comb(delta * k, k - 1)
-        - m_lo * log_comb(sigma, k)
+
+def _display(name: str, p: _Point) -> BoundReport:
+    """n * C(Delta,k) * k! * C(sigma-1,k-1)^k / C(sigma,k)^k, the display
+    attached by prop2 and prop:largek."""
+    k = p.k
+    log = (
+        _log_of(p.n)
+        + log_comb(p.delta, k)
+        + log_factorial(k)
+        + k * log_comb(p.sigma - 1, k - 1)
+        - k * log_comb(p.sigma, k)
     )
-    last_growth = 0.0
-    for m in range(m_lo, m_hi + 1):
-        total = _log_add(total, current)
-        last_growth = (
-            _log_of(delta)
-            + _log_of(sigma)
-            + log_comb(delta * k, k - 1)
-            - log_comb(sigma, k)
-            + math.log(m)
-        )
-        current += last_growth
-    return BoundReport(
+    return BoundReport(f"{name}:display", p.params, LogValue(log), UPPER_BOUND)
+
+
+def _th_main1(name: str, p: _Point) -> BoundReport:
+    _need(p.k >= 2, name, "needs k >= 2")
+    k = p.k
+    rep = _threshold_report(name, p.params, p.ln_n / (k * k) + p.ln_delta / k, p.sigma)
+    rep.extras["delta_cap"] = LogValue(p.ln_n * (k - 1) / (k * (k**3 + 2 * k**2 - k + 1)))
+    rep.extras["delta_within_cap"] = p.ln_delta <= rep.extras["delta_cap"].log
+    return _attach_bound(rep, bad_triple_expectation_sum(p.n, p.delta, k, p.sigma))
+
+
+def _th_main2(name: str, p: _Point) -> BoundReport:
+    _need(p.k == 2, name, "is a k=2 statement")
+    _need(p.sigma >= 3, name, "needs sigma >= 3")
+    small_delta = p.delta * p.delta < p.n
+    log_thr = p.ln_n / 4 + p.ln_delta / 2 if small_delta else p.ln_delta
+    rep = _threshold_report(name, p.params, log_thr, p.sigma)
+    rep.extras["branch"] = "small-delta" if small_delta else "large-delta"
+    return _attach_bound(rep, pair_expectation_sum(p.n, p.delta, p.sigma, l_max=min(p.n, 500)))
+
+
+def _prop1(name: str, p: _Point) -> BoundReport:
+    _need(p.k >= 2, name, "needs k >= 2")
+    k, ln_delta, log_sigma = p.k, p.ln_delta, math.log(p.sigma)
+    a = _default_alpha(name, p)
+    _need(1 <= a <= 3, name, f"alpha={a:.3f} outside [1, 3]")
+    s_val = p.s if p.s is not None else 2 + 2 / (k - 1)
+    _need(s_val >= 2 + 2 / (k - 1), name, f"s={s_val} below 2 + 2/(k-1)")
+    half = k ** ((a + 1) / 2)
+    log_thr = p.ln_n / half + s_val * ln_delta
+    rep = _threshold_report(name, {**p.params, "alpha": a, "s": s_val}, log_thr, p.sigma)
+    # the rewritten geometric sum: prefactor n*Delta^(k(k+1))/(sigma^(k^2)*Delta),
+    # ratio Delta^(k^((alpha+1)/2)) * k^k * Delta^k * sigma^(1-k)
+    log_ratio = half * ln_delta + k * math.log(k) + k * ln_delta + (1 - k) * log_sigma
+    prefactor = p.ln_n + k * (k + 1) * ln_delta - k * k * log_sigma - ln_delta
+    rep.extras["geometric_ratio"] = math.exp(min(log_ratio, 700.0))
+    if log_ratio < 0:
+        rep.extras["bound"] = LogValue(prefactor - math.log1p(-math.exp(log_ratio)))
+        rep.value = rep.extras["bound"]
+        rep.interpretation = UPPER_BOUND
+    else:
+        rep.divergent = True
+    return rep
+
+
+def _prop2(name: str, p: _Point) -> BoundReport:
+    _need(p.k >= 2, name, "needs k >= 2")
+    rep = _threshold_report(name, p.params, p.ln_n / p.k + p.ln_delta, p.sigma)
+    return _attach_bound(rep, _display(name, p))
+
+
+def _prop3(name: str, p: _Point) -> BoundReport:
+    _need(p.g is not None and p.g >= 3, name, "needs a girth g")
+    _need(p.k == 2, name, "is a k=2 statement")
+    _need(p.sigma >= 3, name, "needs sigma >= 3")
+    rep = _threshold_report(name, {**p.params, "g": p.g}, p.ln_n / (p.g + 1) + p.ln_delta, p.sigma)
+    return _attach_bound(
+        rep, pair_expectation_sum(p.n, p.delta, p.sigma, l_max=min(p.n, p.g + 500), l_min=p.g)
+    )
+
+
+def _prop_girth(name: str, p: _Point) -> BoundReport:
+    _need(p.g is not None and p.g >= 4, name, "needs girth g >= 4")
+    _need(p.k >= 3, name, "needs k >= 3")
+    n, delta, k, sigma = p.n, p.delta, p.k, p.sigma
+    s_val = p.s if p.s is not None else 1 + 1 / (k - 1)
+    _need(s_val >= 1 + 1 / (k - 1), name, "s below 1 + 1/(k-1)")
+    q_next = proper_tree_size(k + 1, p.g)
+    p_k = (k - 1) * q_next + 1
+    r_k = k * q_next * q_next
+    log_thr = p.ln_n / p_k + s_val * p.ln_delta
+    rep = _threshold_report(name, {**p.params, "g": p.g, "s": s_val}, log_thr, sigma)
+    rep.extras["P(k)"] = p_k
+    rep.extras["R(k)"] = r_k
+    rep.extras["delta_cap"] = LogValue(p.ln_n / r_k)
+    rep.extras["delta_within_cap"] = p.ln_delta <= p.ln_n / r_k
+    # The girth-regime triple sum has a single Delta^(m-1).  It starts at the
+    # minimum core size, the girth-g tree size at list size k+1, and is capped
+    # at Delta^((k-1)*m_lo + 1) and at 10^6 terms.
+    m_lo = q_next
+    m_hi = min(delta ** ((k - 1) * m_lo + 1) if delta > 1 else m_lo, m_lo + 10**6 - 1)
+    total, last_growth = _triple_series(n, delta, k, sigma, m_lo, m_hi, 1)
+    series = BoundReport(
         "sum:triples-girth",
         {"n": n, "delta": delta, "k": k, "sigma": sigma, "m_lo": m_lo, "m_hi": m_hi},
         LogValue(total),
         UPPER_BOUND,
         divergent=last_growth >= 0,
     )
+    return _attach_bound(rep, series)
+
+
+def _prop_girth2(name: str, p: _Point) -> BoundReport:
+    _need(p.g is not None and p.g > 3, name, "needs girth g > 3")
+    _need(p.k >= 3, name, "needs k >= 3")
+    q = proper_tree_size(p.k, p.g)
+    rep = _threshold_report(name, {**p.params, "g": p.g}, p.ln_n / (q - 1) + p.ln_delta, p.sigma)
+    return _attach_bound(rep, tree_bad_expectation_bound(p.n, p.delta, p.k, p.sigma, p.g))
+
+
+def _prop_verylargegirth(name: str, p: _Point) -> BoundReport:
+    _need(p.g is not None and p.g >= 3, name, "needs a girth g")
+    params = {**p.params, "g": p.g}
+    if p.k == 2 and p.n > 2:
+        _need(p.n - p.g <= 10**6, name, "sums paths of at most 10^6 sizes, so needs n <= g + 10^6")
+        c = p.g / p.ln_n
+        a_min = 4 * math.exp(1 / c)
+        log_thr = math.log(a_min) + p.ln_delta + math.log(p.ln_n)
+        rep = _threshold_report(
+            name, params, log_thr, p.sigma, extras={"case": "i", "C": c, "A_min": a_min}
+        )
+        return _attach_bound(
+            rep, alternating_path_expectation(p.n, p.delta, p.k, p.sigma, r_min=p.g, r_max=p.n)
+        )
+    _need(p.k >= 3 and p.g > 3 and p.n > 15, name, "needs k = 2, or k >= 3 with g > 3")
+    c2 = p.g / math.log(p.ln_n)
+    k0 = math.ceil(math.exp(2 / c2) + 1)
+    b0 = math.exp((k0 - 2) / 2) * k0 * k0
+    extras = {"case": "ii", "C2": c2, "k0": k0, "B0": b0, "k_at_least_k0": p.k >= k0}
+    rep = _threshold_report(name, params, math.log(b0) + p.ln_delta, p.sigma, extras=extras)
+    return _attach_bound(rep, tree_bad_expectation_bound(p.n, p.delta, p.k, p.sigma, p.g))
+
+
+def _th_nonconstant1(name: str, p: _Point) -> BoundReport:
+    _need(p.k >= 2, name, "needs k >= 2")
+    base = math.log1p(p.eps) + p.ln_n / (p.k * p.k) + math.log(p.k)
+    extras = {"case": "i (k = o(log Delta))"}
+    rep = _threshold_report(
+        name, {**p.params, "eps": p.eps}, base + p.ln_delta / p.k, p.sigma, extras=extras
+    )
+    if p.delta > 1:
+        c = p.k / p.ln_delta
+        rep.extras["case_ii_threshold"] = LogValue(base + 1 / c)
+        rep.extras["case_ii_C"] = c
+    rep.extras["case_iii_threshold"] = LogValue(base)
+    return _attach_bound(rep, bad_triple_expectation_sum(p.n, p.delta, p.k, p.sigma))
+
+
+def _th_nonconstant2(name: str, p: _Point) -> BoundReport:
+    _need(p.k >= 2, name, "needs k >= 2")
+    a = _default_alpha(name, p)
+    _need(1 < a <= 3, name, f"alpha={a:.3f} outside (1, 3]")
+    s_val = p.s if p.s is not None else 2.5
+    _need(s_val > 2, name, "needs s > 2")
+    log_thr = (
+        math.log1p(p.eps) + p.ln_n / (p.k ** ((a + 1) / 2)) + s_val * p.ln_delta + math.log(p.k)
+    )
+    params = {**p.params, "alpha": a, "s": s_val, "eps": p.eps}
+    return _threshold_report(name, params, log_thr, p.sigma, extras={"threshold_only": True})
+
+
+def _prop_largek(name: str, p: _Point) -> BoundReport:
+    _need(p.k >= 2, name, "needs k >= 2")
+    if p.k < p.ln_n:
+        log_thr = math.log1p(p.eps) + p.ln_n / p.k + p.ln_delta + math.log(p.k)
+        case = "i (k = o(log n))"
+    else:
+        _need(p.n >= 2, name, "needs n >= 2")
+        c = p.k / p.ln_n
+        log_thr = math.log1p(p.eps) + math.log(c) + 1 / c + p.ln_delta + math.log(p.ln_n)
+        case = "ii (k >= C log n)"
+    params = {**p.params, "eps": p.eps}
+    rep = _threshold_report(name, params, log_thr, p.sigma, extras={"case": case})
+    return _attach_bound(rep, _display(name, p))
+
+
+# name -> regime function, in the catalog's order
+_REGIMES = {
+    "th:main1": _th_main1,
+    "th:main2": _th_main2,
+    "prop1": _prop1,
+    "prop2": _prop2,
+    "prop3": _prop3,
+    "prop:girth": _prop_girth,
+    "prop:girth2": _prop_girth2,
+    "prop:verylargegirth": _prop_verylargegirth,
+    "th:nonconstant1": _th_nonconstant1,
+    "th:nonconstant2": _th_nonconstant2,
+    "prop:largek": _prop_largek,
+}
+REGIME_NAMES = tuple(_REGIMES)
 
 
 def girth_regime_bounds(
@@ -587,228 +761,20 @@ def girth_regime_bounds(
     expectation bound) of each colorability proposition at concrete
     parameters.
 
-    With `which=None` every proposition whose inputs are present is
-    evaluated; naming one explicitly raises RegimeError when the parameters
-    do not fit its regime (wrong girth parity or range, missing g, k out of
-    range)."""
+    With `which=None` every proposition whose regime the parameters fit is
+    evaluated and the others are left out; naming one explicitly raises its
+    RegimeError when the parameters do not fit its regime."""
     _check(n >= 1 and delta >= 1 and sigma >= 2, "need n >= 1, delta >= 1, sigma >= 2")
     _check(1 <= k <= sigma, "need 1 <= k <= sigma")
-    ln_n = math.log(n)
-    ln_delta = math.log(delta)
-    one_plus_eps = math.log1p(eps)
+    if which is not None and which not in _REGIMES:
+        raise RegimeError(f"unknown regime {which!r}; choose from {', '.join(REGIME_NAMES)}")
+    point = _Point(n, delta, k, sigma, g, s, alpha, eps)
+    if which is not None:
+        return {which: _REGIMES[which](which, point)}
     out: dict[str, BoundReport] = {}
-
-    def wants(name):
-        return which is None or which == name
-
-    def regime_check(name, ok, msg):
-        if not ok:
-            if which == name:
-                raise RegimeError(f"{name}: {msg}")
-            return False
-        return True
-
-    base_params = {"n": n, "delta": delta, "k": k, "sigma": sigma}
-
-    if wants("th:main1") and regime_check("th:main1", k >= 2, "needs k >= 2"):
-        log_thr = ln_n / (k * k) + ln_delta / k
-        rep = _threshold_report("th:main1", base_params, log_thr, sigma)
-        rep.extras["delta_cap"] = LogValue(ln_n * (k - 1) / (k * (k**3 + 2 * k**2 - k + 1)))
-        rep.extras["delta_within_cap"] = ln_delta <= rep.extras["delta_cap"].log
-        _attach_bound(rep, bad_triple_expectation_sum(n, delta, k, sigma))
-        out["th:main1"] = rep
-
-    if wants("th:main2") and regime_check("th:main2", k == 2, "is a k=2 statement"):
-        small_delta = delta * delta < n
-        log_thr = ln_n / 4 + ln_delta / 2 if small_delta else ln_delta
-        rep = _threshold_report("th:main2", base_params, log_thr, sigma)
-        rep.extras["branch"] = "small-delta" if small_delta else "large-delta"
-        _attach_bound(rep, pair_expectation_sum(n, delta, sigma, l_max=min(n, 500)))
-        out["th:main2"] = rep
-
-    if wants("prop1") and regime_check("prop1", k >= 2, "needs k >= 2"):
-        a = alpha if alpha is not None else (
-            math.log(ln_n / ln_delta) / math.log(k) if delta > 1 else 1.0
-        )
-        regime_ok = regime_check("prop1", 1 <= a <= 3, f"alpha={a:.3f} outside [1, 3]")
-        s_val = s if s is not None else 2 + 2 / (k - 1)
-        regime_ok = regime_ok and regime_check(
-            "prop1", s_val >= 2 + 2 / (k - 1), f"s={s_val} below 2 + 2/(k-1)"
-        )
-        if regime_ok:
-            half = k ** ((a + 1) / 2)
-            log_thr = ln_n / half + s_val * ln_delta
-            rep = _threshold_report(
-                "prop1", {**base_params, "alpha": a, "s": s_val}, log_thr, sigma
-            )
-            # the rewritten geometric sum: prefactor n*Delta^(k(k+1))/(sigma^(k^2)*Delta),
-            # ratio Delta^(k^((alpha+1)/2)) * k^k * Delta^k * sigma^(1-k)
-            log_ratio = (
-                half * ln_delta + k * math.log(k) + k * ln_delta + (1 - k) * math.log(sigma)
-            )
-            prefactor = ln_n + k * (k + 1) * ln_delta - k * k * math.log(sigma) - ln_delta
-            rep.extras["geometric_ratio"] = math.exp(min(log_ratio, 700.0))
-            if log_ratio < 0:
-                rep.extras["bound"] = LogValue(prefactor - math.log1p(-math.exp(log_ratio)))
-                rep.value = rep.extras["bound"]
-                rep.interpretation = UPPER_BOUND
-            else:
-                rep.divergent = True
-            out["prop1"] = rep
-
-    if wants("prop2") and regime_check("prop2", k >= 2, "needs k >= 2"):
-        log_thr = ln_n / k + ln_delta
-        rep = _threshold_report("prop2", base_params, log_thr, sigma)
-        display = (
-            _log_of(n)
-            + log_comb(delta, k)
-            + log_factorial(k)
-            + k * log_comb(sigma - 1, k - 1)
-            - k * log_comb(sigma, k)
-        )
-        _attach_bound(
-            rep,
-            BoundReport("prop2:display", base_params, LogValue(display), UPPER_BOUND),
-        )
-        out["prop2"] = rep
-
-    if wants("prop3"):
-        if regime_check("prop3", g is not None, "needs a girth g") and regime_check(
-            "prop3", k == 2, "is a k=2 statement"
-        ):
-            log_thr = ln_n / (g + 1) + ln_delta
-            rep = _threshold_report("prop3", {**base_params, "g": g}, log_thr, sigma)
-            _attach_bound(
-                rep, pair_expectation_sum(n, delta, sigma, l_max=min(n, g + 500), l_min=g)
-            )
-            out["prop3"] = rep
-
-    if wants("prop:girth"):
-        if regime_check("prop:girth", g is not None and g >= 4, "needs girth g >= 4") and regime_check(
-            "prop:girth", k >= 3, "needs k >= 3"
-        ):
-            s_val = s if s is not None else 1 + 1 / (k - 1)
-            if regime_check("prop:girth", s_val >= 1 + 1 / (k - 1), "s below 1 + 1/(k-1)"):
-                q_next = proper_tree_size(k + 1, g)
-                p_k = (k - 1) * q_next + 1
-                r_k = k * q_next * q_next
-                log_thr = ln_n / p_k + s_val * ln_delta
-                rep = _threshold_report(
-                    "prop:girth", {**base_params, "g": g, "s": s_val}, log_thr, sigma
-                )
-                rep.extras["P(k)"] = p_k
-                rep.extras["R(k)"] = r_k
-                rep.extras["delta_cap"] = LogValue(ln_n / r_k)
-                rep.extras["delta_within_cap"] = ln_delta <= ln_n / r_k
-                _attach_bound(rep, _triple_sum_plain_delta(n, delta, k, sigma, m_lo=q_next))
-                out["prop:girth"] = rep
-
-    if wants("prop:girth2"):
-        if regime_check("prop:girth2", g is not None and g > 3, "needs girth g > 3") and regime_check(
-            "prop:girth2", k >= 3, "needs k >= 3"
-        ):
-            q = proper_tree_size(k, g)
-            log_thr = ln_n / (q - 1) + ln_delta
-            rep = _threshold_report("prop:girth2", {**base_params, "g": g}, log_thr, sigma)
-            _attach_bound(rep, tree_bad_expectation_bound(n, delta, k, sigma, g))
-            out["prop:girth2"] = rep
-
-    if wants("prop:verylargegirth"):
-        if regime_check("prop:verylargegirth", g is not None and g >= 3, "needs a girth g"):
-            if k == 2 and n > 2:
-                c = g / ln_n
-                a_min = 4 * math.exp(1 / c)
-                log_thr = math.log(a_min) + ln_delta + math.log(ln_n)
-                rep = _threshold_report(
-                    "prop:verylargegirth",
-                    {**base_params, "g": g},
-                    log_thr,
-                    sigma,
-                    extras={"case": "i", "C": c, "A_min": a_min},
-                )
-                _attach_bound(
-                    rep, alternating_path_expectation(n, delta, k, sigma, r_min=g, r_max=n)
-                )
-                out["prop:verylargegirth"] = rep
-            elif k >= 3 and g > 3 and n > 15:
-                c2 = g / math.log(ln_n)
-                k0 = math.ceil(math.exp(2 / c2) + 1)
-                b0 = math.exp((k0 - 2) / 2) * k0 * k0
-                log_thr = math.log(b0) + ln_delta
-                rep = _threshold_report(
-                    "prop:verylargegirth",
-                    {**base_params, "g": g},
-                    log_thr,
-                    sigma,
-                    extras={"case": "ii", "C2": c2, "k0": k0, "B0": b0, "k_at_least_k0": k >= k0},
-                )
-                _attach_bound(rep, tree_bad_expectation_bound(n, delta, k, sigma, g))
-                out["prop:verylargegirth"] = rep
-            elif which == "prop:verylargegirth":
-                raise RegimeError("prop:verylargegirth: needs k = 2, or k >= 3 with g > 3")
-
-    if wants("th:nonconstant1") and regime_check("th:nonconstant1", k >= 2, "needs k >= 2"):
-        ln_k = math.log(k)
-        base = one_plus_eps + ln_n / (k * k) + ln_k
-        rep = _threshold_report(
-            "th:nonconstant1",
-            {**base_params, "eps": eps},
-            base + ln_delta / k,
-            sigma,
-            extras={"case": "i (k = o(log Delta))"},
-        )
-        if delta > 1:
-            c = k / ln_delta
-            rep.extras["case_ii_threshold"] = LogValue(base + 1 / c)
-            rep.extras["case_ii_C"] = c
-        rep.extras["case_iii_threshold"] = LogValue(base)
-        _attach_bound(rep, bad_triple_expectation_sum(n, delta, k, sigma))
-        out["th:nonconstant1"] = rep
-
-    if wants("th:nonconstant2") and regime_check("th:nonconstant2", k >= 2, "needs k >= 2"):
-        a = alpha if alpha is not None else (
-            math.log(ln_n / ln_delta) / math.log(k) if delta > 1 else 1.0
-        )
-        if regime_check("th:nonconstant2", 1 < a <= 3, f"alpha={a:.3f} outside (1, 3]"):
-            s_val = s if s is not None else 2.5
-            if regime_check("th:nonconstant2", s_val > 2, "needs s > 2"):
-                log_thr = (
-                    one_plus_eps + ln_n / (k ** ((a + 1) / 2)) + s_val * ln_delta + math.log(k)
-                )
-                out["th:nonconstant2"] = _threshold_report(
-                    "th:nonconstant2",
-                    {**base_params, "alpha": a, "s": s_val, "eps": eps},
-                    log_thr,
-                    sigma,
-                    extras={"threshold_only": True},
-                )
-
-    if wants("prop:largek") and regime_check("prop:largek", k >= 2, "needs k >= 2"):
-        display = (
-            _log_of(n)
-            + log_comb(delta, k)
-            + log_factorial(k)
-            + k * log_comb(sigma - 1, k - 1)
-            - k * log_comb(sigma, k)
-        )
-        small_k = k < ln_n
-        if small_k:
-            log_thr = one_plus_eps + ln_n / k + ln_delta + math.log(k)
-            case = "i (k = o(log n))"
-        else:
-            c = k / ln_n
-            log_thr = one_plus_eps + math.log(c) + 1 / c + ln_delta + math.log(ln_n)
-            case = "ii (k >= C log n)"
-        rep = _threshold_report(
-            "prop:largek", {**base_params, "eps": eps}, log_thr, sigma, extras={"case": case}
-        )
-        _attach_bound(
-            rep, BoundReport("prop:largek:display", base_params, LogValue(display), UPPER_BOUND)
-        )
-        out["prop:largek"] = rep
-
-    if which is not None and which not in out:
-        if which not in REGIME_NAMES:
-            raise RegimeError(f"unknown regime {which!r}; choose from {', '.join(REGIME_NAMES)}")
-        raise RegimeError(f"{which}: parameters outside the regime (missing g or wrong k)")
+    for name, regime in _REGIMES.items():
+        try:
+            out[name] = regime(name, point)
+        except RegimeError:
+            pass
     return out

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import bounds, certificates as certs
-from .errors import ListColorError
+from .errors import GuardExceededError, ListColorError
 from .graphs import FAMILIES, read_graph, write_graph
 from .harness import CorpusSpec, ExperimentConfig, sweep, verify_lemmas
 from .lists import SeedSpec, read_lists, sample_assignment, write_lists
@@ -83,16 +83,23 @@ def _cmd_certify(args) -> int:
         print(json.dumps({"kind": None, "colorable": True}))
         return 0
     kinds = certs.CERTIFICATE_KINDS if args.kind == "auto" else (args.kind,)
+    guard = None  # the first guard a finder hit; raised only if no kind certifies
     for name in kinds:
         reason = certs.CERTIFICATE_KINDS[name].obstacle(assignment.k, g)
         if reason is not None:
             _require(args.kind == "auto", reason)
             continue
-        found = certs.find_certificate(g, assignment, name)
+        try:
+            found = certs.find_certificate(g, assignment, name)
+        except GuardExceededError as exc:
+            guard = guard or exc
+            continue
         if found is not None:
             cert, _, witness = found
             print(json.dumps(certs.certificate_to_json(cert, witness), sort_keys=True))
             return 0
+    if guard is not None:
+        raise guard
     print(json.dumps({"kind": None, "colorable": False, "note": "no certificate found"}))
     return 0
 

@@ -39,5 +39,5 @@ class ConfigError(ListColorError):
 
 
 class RegimeError(ListColorError):
-    """Parameters do not match the requested bound's regime (e.g. an even
-    girth passed to an odd-girth-only formula)."""
+    """Parameters do not match the requested bound's regime (e.g. no girth
+    given to a girth regime, or k = 2 to a k >= 3 one)."""

@@ -204,7 +204,9 @@ def _check_run_args(timeout_seconds, certificate_kinds, workers, error) -> None:
 
 def _detect_certificate(g, assignment, kinds) -> str:
     """Label of the first certificate found, trying the applicable `kinds`
-    in order; "guard-exceeded" when a finder hits its guard first."""
+    in order; when none is found, "guard-exceeded" if a finder hit its
+    guard, else "none"."""
+    guarded = False
     for name in kinds:
         kind = certs.CERTIFICATE_KINDS[name]
         if kind.obstacle(assignment.k, g) is not None:
@@ -213,8 +215,8 @@ def _detect_certificate(g, assignment, kinds) -> str:
             if kind.find(g, assignment) is not None:
                 return kind.label
         except GuardExceededError:
-            return "guard-exceeded"
-    return "none"
+            guarded = True
+    return "guard-exceeded" if guarded else "none"
 
 
 def _run_trial(g: Graph, job: tuple) -> TrialRecord:
@@ -384,6 +386,8 @@ class ExperimentConfig:
             if key == "parts":
                 if not isinstance(value, list):
                     raise ConfigError(f"'parts' must be a list, got {value!r}")
+                if len(value) < 2:
+                    raise ConfigError(f"'parts' needs at least 2 entries, got {value!r}")
                 params[key] = [_coerce_expr(p) for p in value]
             else:
                 params[key] = _coerce_expr(value)

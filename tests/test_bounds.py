@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listcolor.bounds import (
+    REGIME_NAMES,
     LogValue,
     alternating_path_expectation,
     bad_triple_expectation_sum,
@@ -156,14 +157,20 @@ class TestTripleBounds:
         assert bad_triple_expectation_sum(10, 3, 2, 9, m_lo=5, m_hi=4).value.is_zero
 
     def test_expectation_sum_single_term_matches_product(self):
-        n, delta, k, sigma, m = 50, 3, 2, 40, 4
-        report = bad_triple_expectation_sum(n, delta, k, sigma, m_lo=m, m_hi=m)
-        per_triple = Fraction(
-            sigma ** (m - 1) * math.comb(delta, k) * math.comb(delta * k, k - 1) ** (m - 1),
-            math.comb(sigma, k) ** m,
+        n, delta, k, sigma = 50, 3, 2, 40
+
+        def term(m):
+            per_triple = Fraction(
+                sigma ** (m - 1) * math.comb(delta, k) * math.comb(delta * k, k - 1) ** (m - 1),
+                math.comb(sigma, k) ** m,
+            )
+            return n * delta ** (2 * m - 2) * math.factorial(m - 1) * per_triple
+
+        close(bad_triple_expectation_sum(n, delta, k, sigma, m_lo=4, m_hi=4), term(4))
+        close(
+            bad_triple_expectation_sum(n, delta, k, sigma, m_lo=4, m_hi=12),
+            sum(term(m) for m in range(4, 13)),
         )
-        oracle = n * delta ** (2 * m - 2) * math.factorial(m - 1) * per_triple
-        close(report, oracle)
 
     def test_expectation_sum_decreasing_in_sigma(self):
         values = [
@@ -303,14 +310,63 @@ class TestRegimes:
         assert high["th:main1"].extras["clears_threshold"]
 
     def test_explicit_regime_mismatch_raises(self):
-        with pytest.raises(RegimeError):
-            girth_regime_bounds(1000, 3, 2, 50, g=4, which="prop:girth")  # needs k >= 3
-        with pytest.raises(RegimeError):
-            girth_regime_bounds(1000, 3, 3, 50, which="prop3")  # needs g and k=2
-        with pytest.raises(RegimeError):
-            girth_regime_bounds(1000, 3, 3, 50, g=3, which="prop:girth2")  # girth too small
-        with pytest.raises(RegimeError):
+        with pytest.raises(RegimeError, match="^prop:girth: needs k >= 3$"):
+            girth_regime_bounds(1000, 3, 2, 50, g=4, which="prop:girth")
+        with pytest.raises(RegimeError, match="^prop3: needs a girth g$"):
+            girth_regime_bounds(1000, 3, 3, 50, which="prop3")
+        with pytest.raises(RegimeError, match="^prop:girth2: needs girth g > 3$"):
+            girth_regime_bounds(1000, 3, 3, 50, g=3, which="prop:girth2")
+        with pytest.raises(RegimeError) as info:
             girth_regime_bounds(1000, 3, 3, 50, which="nonsense")
+        assert str(info.value) == (
+            "unknown regime 'nonsense'; choose from th:main1, th:main2, prop1, prop2, prop3, "
+            "prop:girth, prop:girth2, prop:verylargegirth, th:nonconstant1, th:nonconstant2, "
+            "prop:largek"
+        )
+
+    @pytest.mark.parametrize("which,args,kwargs,message", [
+        ("th:main1", (1000, 3, 1, 50), {}, "needs k >= 2"),
+        ("th:main2", (1000, 3, 3, 50), {}, "is a k=2 statement"),
+        ("prop1", (1000, 3, 3, 50), {"alpha": 5}, "alpha=5.000 outside [1, 3]"),
+        ("prop1", (1000, 3, 3, 50), {"s": 2}, "s=2 below 2 + 2/(k-1)"),
+        ("prop2", (1000, 3, 1, 50), {}, "needs k >= 2"),
+        ("prop3", (1000, 3, 3, 50), {"g": 4}, "is a k=2 statement"),
+        ("prop:girth", (1000, 3, 3, 50), {"g": 3}, "needs girth g >= 4"),
+        ("prop:girth", (1000, 3, 3, 50), {"g": 4, "s": 1}, "s below 1 + 1/(k-1)"),
+        ("prop:girth2", (1000, 3, 2, 50), {"g": 4}, "needs k >= 3"),
+        ("prop:verylargegirth", (1000, 3, 3, 50), {"g": 3},
+         "needs k = 2, or k >= 3 with g > 3"),
+        ("prop:verylargegirth", (1000, 3, 3, 50), {}, "needs a girth g"),
+        ("th:nonconstant1", (1000, 3, 1, 50), {}, "needs k >= 2"),
+        ("th:nonconstant2", (1000, 3, 3, 50), {"s": 2}, "needs s > 2"),
+        ("th:nonconstant2", (1000, 3, 3, 50), {"alpha": 1}, "alpha=1.000 outside (1, 3]"),
+        ("prop:largek", (1000, 3, 1, 50), {}, "needs k >= 2"),
+    ])
+    def test_explicit_regime_mismatch_message(self, which, args, kwargs, message):
+        with pytest.raises(RegimeError) as info:
+            girth_regime_bounds(*args, which=which, **kwargs)
+        assert str(info.value) == f"{which}: {message}"
+
+    def test_girth_series_matches_termwise_sum(self):
+        """prop:girth attaches sum_m n*Delta^(m-1)*(m-1)!*sigma^(m-1)*C(Delta,k)*
+        C(Delta*k,k-1)^(m-1)/C(sigma,k)^m over m = Q(k+1, g) .. Q + 10^6 - 1."""
+        n, delta, k, sigma, g = 10**6, 3, 3, 10**5, 4
+        rep = girth_regime_bounds(n, delta, k, sigma, g=g, which="prop:girth")["prop:girth"]
+        assert rep.extras["bound_name"] == "sum:triples-girth"
+        m_lo = proper_tree_size(k + 1, g)
+        assert m_lo == 8
+        # each term from its own formula, not from the previous term; the
+        # binomials go through log_comb, whose lgamma differences already
+        # differ from log(math.comb(10**5, 3)) in the eleventh digit
+        terms = [
+            math.log(n) + (m - 1) * math.log(delta) + math.lgamma(m) + (m - 1) * math.log(sigma)
+            + log_comb(delta, k) + (m - 1) * log_comb(delta * k, k - 1)
+            - m * log_comb(sigma, k)
+            for m in range(m_lo, m_lo + 10**6)
+        ]
+        top = max(terms)
+        oracle = LogValue(top + math.log(math.fsum(math.exp(t - top) for t in terms)))
+        assert rep.extras["bound"].approx_eq(oracle)
 
     def test_nonconstant_list_threshold(self):
         reports = girth_regime_bounds(10**6, 8, 3, 10**3, eps=0.1)
@@ -325,6 +381,46 @@ class TestRegimes:
         assert small.extras["case"].startswith("i")
         large = girth_regime_bounds(100, 5, 8, 100)["prop:largek"]
         assert large.extras["case"].startswith("ii")
+
+    def test_catalog_skips_what_it_cannot_evaluate(self):
+        """Inputs that pass the catalog's own checks (n = 1, sigma = 2) never
+        crash it: each regime either reports or raises RegimeError."""
+        cases = [
+            (n, delta, k, sigma, g)
+            for n in (1, 2, 16)
+            for delta in (1, 2)
+            for k in (1, 2)
+            for sigma in (2, 3)
+            if k <= sigma
+            for g in (None, 4, 5)
+        ] + [(1, 1, 3, 3, 5)]
+        for n, delta, k, sigma, g in cases:
+            everything = girth_regime_bounds(n, delta, k, sigma, g=g)
+            for name in REGIME_NAMES:
+                try:
+                    named = girth_regime_bounds(n, delta, k, sigma, g=g, which=name)
+                except RegimeError as exc:
+                    assert str(exc).startswith(f"{name}: ")
+                    assert name not in everything
+                else:
+                    assert list(named) == [name]
+                    assert named[name].to_json() == everything[name].to_json()
+
+    @pytest.mark.parametrize("which,args,g,message", [
+        ("prop1", (1, 2, 2, 3), 5, "needs n >= 2 for the default alpha"),
+        ("th:nonconstant2", (1, 2, 2, 3), 5, "needs n >= 2 for the default alpha"),
+        ("prop:largek", (1, 1, 3, 3), 5, "needs n >= 2"),
+        ("th:main2", (16, 2, 2, 2), 5, "needs sigma >= 3"),
+        ("prop3", (16, 2, 2, 2), 5, "needs sigma >= 3"),
+        ("prop3", (16, 2, 2, 3), 2, "needs a girth g"),
+        ("prop:verylargegirth", (10**6 + 6, 3, 2, 100), 5,
+         "sums paths of at most 10^6 sizes, so needs n <= g + 10^6"),
+    ])
+    def test_degenerate_inputs_leave_the_regime(self, which, args, g, message):
+        with pytest.raises(RegimeError) as info:
+            girth_regime_bounds(*args, g=g, which=which)
+        assert str(info.value) == f"{which}: {message}"
+        assert which not in girth_regime_bounds(*args, g=g)
 
     def test_main2_branches(self):
         small = girth_regime_bounds(10**6, 10, 2, 100)["th:main2"]

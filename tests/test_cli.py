@@ -168,14 +168,28 @@ class TestCertify:
         assert (code, out) == (2, "")
         assert "tree certificates need k >= 2 lists" in err
 
-    def test_auto_stops_at_the_core_guard(self, tmp_path, capsys):
-        """Auto mode tries the triple first; C13 with every list {1,2} has a
-        13-vertex critical core, above the finder's guard of 12."""
+    @pytest.fixture
+    def c13_files(self, tmp_path):
+        """C13 with every list {1,2}: its 13-vertex critical core is above
+        the triple finder's guard of 12."""
         c13 = tmp_path / "c13.txt"
         c13.write_text(write_graph(power_cycle(13, 1)))
         lists = tmp_path / "c13-lists.txt"
         lists.write_text("sigma=2 k=2\n" + "\n".join(f"{v}: 1 2" for v in range(13)) + "\n")
+        return c13, lists
+
+    def test_auto_goes_past_the_core_guard(self, c13_files, capsys):
+        """Auto mode tries the triple first, hits its guard, and goes on to
+        the pair."""
+        c13, lists = c13_files
         code, out, err = run(capsys, "certify", "--graph", c13, "--lists", lists)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["kind"] == "2bad-pair"
+
+    def test_triple_stops_at_the_core_guard(self, c13_files, capsys):
+        c13, lists = c13_files
+        code, out, err = run(capsys, "certify", "--graph", c13, "--lists", lists,
+                             "--kind", "triple")
         assert (code, out) == (1, "")
         assert "critical core has 13 vertices, above the guard 12" in err
 

@@ -101,6 +101,12 @@ class TestRunPoint:
         point = run_point(power_cycle(13, 1), 13, 2, 2, 3, 0, None, ("triple",))
         assert [r.certificate for r in point.records] == ["guard-exceeded"] * 3
 
+    def test_core_guard_does_not_stop_later_kinds(self):
+        """The triple finder's guard is recorded only when no requested kind
+        certifies: here the pair does."""
+        point = run_point(power_cycle(13, 1), 13, 2, 2, 3, 0, None, ("triple", "pair"))
+        assert [r.certificate for r in point.records] == ["2bad-pair"] * 3
+
     def test_tree_certificate_on_petersen(self):
         point = run_point(petersen(), 10, 2, 2, 3, 0, None, ("tree",))
         assert [(r.colorable, r.certificate) for r in point.records] == [(False, "tree-bad")] * 3
@@ -338,6 +344,14 @@ class TestConfigSchema:
     def test_rejected_up_front(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+    def test_parts_needs_two_entries(self):
+        """The schema's "minItems": 2 on parts: one part is rejected by
+        from_dict, not by the first GraphFamily.build of the sweep."""
+        with pytest.raises(ConfigError, match="'parts' needs at least 2 entries"):
+            small_config(family="complete_multipartite", family_params={"parts": [3]})
+        config = small_config(family="complete_multipartite", family_params={"parts": [3, 3]})
+        assert config.family.build(6).n == 6
 
     @pytest.mark.parametrize("key", ["family", "n_grid", "sigma_grid", "trials"])
     def test_required_keys_enforced(self, key):
