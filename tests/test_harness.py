@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -211,6 +212,28 @@ class TestSweep:
         parallel = sweep(small_config(workers=2, **kw))
         assert serial.records_csv() == parallel.records_csv()
         assert {r.certificate for r in parallel.records()} >= {"bad-triple", ""}
+
+    # sha256 of records_csv() for two small sweeps, recorded before the
+    # sampler was rewritten on getrandbits; the sigma grids cover both of
+    # random.sample's branches (pool at sigma <= 21, set above).  A change
+    # here is a change of the random stream and needs a CSV_VERSION bump.
+    GOLDEN_RECORDS = {
+        "9c0dc7548a91bd4bdbd862ceec0dc39fc875cc99b84897893f24d4def689b8c7": {
+            "family": "clique_union", "family_params": {"delta": "3"}, "n_grid": [40, 60],
+            "k": "2", "sigma_grid": ["3", "6", "12", "24", "40"], "trials": 25,
+            "base_seed": 2024, "timeout_seconds": None, "certificates": ["triple", "pair"],
+        },
+        "1b9d322dd94a471124377736aec5e974a1f75df1861063556ecc5d564ba9d4cb": {
+            "family": "power_cycle", "family_params": {"r": "3"}, "n_grid": [24],
+            "k": "3", "sigma_grid": ["3", "4", "5", "8", "22", "40"], "trials": 25,
+            "base_seed": 77, "timeout_seconds": None, "certificates": ["triple", "tree"],
+        },
+    }
+
+    @pytest.mark.parametrize("digest", sorted(GOLDEN_RECORDS))
+    def test_records_csv_digest_is_pinned(self, digest):
+        result = sweep(ExperimentConfig.from_dict(self.GOLDEN_RECORDS[digest]))
+        assert hashlib.sha256(result.records_csv().encode()).hexdigest() == digest
 
     def test_pool_ships_no_graph_and_builds_each_n_once(self, monkeypatch):
         def no_pickling(self):
