@@ -21,11 +21,13 @@ class Graph:
     """Simple undirected graph: no self-loops, no duplicate edges.
 
     Edges are stored as a frozenset of (u, v) pairs with u < v; per-vertex
-    sorted neighbor tuples are derived at construction.  The girth is
-    computed by `girth` on first use and kept in the `_girth` slot.
+    sorted neighbor tuples are derived at construction.  The girth and the
+    connected components are computed by `girth` and `connected_components`
+    on first use and kept in the `_girth` and `_components` slots; pickling
+    keeps neither, so an unpickled copy computes its own.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_girth")
+    __slots__ = ("n", "edges", "adjacency", "_girth", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -45,6 +47,7 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(self, "_girth", None)
+        object.__setattr__(self, "_components", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -203,7 +206,13 @@ def girth(g: Graph):
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, ordered by smallest member."""
+    """Vertex sets of the connected components, ordered by smallest member.
+
+    The BFS runs once per graph: the components are kept in the graph, and
+    every call returns a new list of them, which the caller may change.
+    """
+    if g._components is not None:
+        return list(g._components)
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
@@ -220,6 +229,7 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
                     seen[w] = True
                     queue.append(w)
         comps.append(tuple(sorted(comp)))
+    object.__setattr__(g, "_components", tuple(comps))
     return comps
 
 

@@ -14,8 +14,12 @@ per-point means).
 Worker model: a sweep builds each n's graph once.  With workers > 1,
 run_point forks a Pool whose workers inherit that graph at fork time (it is
 an initializer argument, which fork does not pickle); each job carries only
-the trial's seed coordinates.  A trial that raises an unexpected exception
-is recorded with status "error" instead of ending the sweep.
+the trial's seed coordinates.  The graph keeps its connected components once
+computed, so the trials that share it in one process scan it once.  Each
+trial's lists come from `sample_assignment`, whose draws replay
+`random.sample` exactly, so records.csv keeps its stream.  A trial that
+raises an unexpected exception is recorded with status "error" instead of
+ending the sweep.
 
 Graph families and certificate kinds come from one registry each,
 graphs.FAMILIES and certificates.CERTIFICATE_KINDS; a trial tries only the

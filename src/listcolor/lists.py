@@ -3,7 +3,13 @@
 Each vertex independently receives a uniformly random k-subset of the color
 universe {1..sigma}.  Colors are positive integers.  Sampling is a pure
 function of a SeedSpec, so trials are reproducible and order-independent
-under parallel execution.
+under parallel execution.  The sampler replays, draw for draw from
+`getrandbits`, what `random.Random.sample(range(1, sigma + 1), k)` would draw,
+so its stream is the one that records.csv was pinned to.
+
+`ListAssignment(sigma, k, lists)` validates every list; the sampler and
+`restrict`, whose lists are valid by construction, build through the private
+`ListAssignment._trusted` instead.
 """
 
 from __future__ import annotations
@@ -106,21 +112,72 @@ class ListAssignment:
 
     def restrict(self, vertices: Iterable[int]) -> "ListAssignment":
         """Lists for a vertex subset, in sorted-vertex order (for subgraphs)."""
-        return ListAssignment(self.sigma, self.k, [self.lists[v] for v in sorted(vertices)])
+        lists = tuple(self.lists[v] for v in sorted(vertices))
+        return ListAssignment._trusted(self.sigma, self.k, lists)
+
+    @classmethod
+    def _trusted(cls, sigma: int, k: int, lists: tuple[tuple[int, ...], ...]) -> "ListAssignment":
+        """Wrap lists known to be sorted tuples of k distinct colors in 1..sigma."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lists", lists)
+        return self
 
 
 def sample_assignment(g: Graph, k: int, sigma: int, seed: SeedSpec) -> ListAssignment:
     """Draw each vertex's list uniformly from the C(sigma, k) k-subsets.
 
-    Deterministic given `seed`; independent across vertices.  Subsets come
-    from a partial Fisher-Yates shuffle over 1..sigma (random.sample), whose
-    uniformity is provable and testable.
+    Deterministic given `seed`; independent across vertices.  For each vertex
+    in turn the draws replay exactly those of CPython's pure-Python
+    `random.Random.sample(range(1, sigma + 1), k)` on `seed.generator()`:
+    every index is drawn by rejection from `getrandbits`, from a partial
+    Fisher-Yates pool when sigma is at most sample's set-size switch (21,
+    more when k > 5) and otherwise by redrawing colors already chosen.  Each
+    list is returned sorted.  The lists are
+    valid by construction, so the result is built without the per-vertex
+    checks of the public `ListAssignment` constructor; k and sigma are
+    checked here, before any draw.
     """
+    if k < 1:
+        raise InvalidParameterError(f"list size k must be >= 1, got {k}")
     if k > sigma:
         raise InvalidParameterError(f"k={k} exceeds sigma={sigma}")
-    rng = seed.generator()
-    universe = range(1, sigma + 1)
-    return ListAssignment(sigma, k, [sorted(rng.sample(universe, k)) for _ in range(g.n)])
+    getrandbits = seed.generator().getrandbits
+    setsize = 21  # random.sample's switch between its two methods
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    lists = []
+    append = lists.append  # bound once: the loops below run n times
+    if sigma <= setsize:
+        universe = list(range(1, sigma + 1))
+        draws = [(sigma - i, (sigma - i).bit_length()) for i in range(k)]
+        for _ in range(g.n):
+            pool = universe[:]  # pool[:size] holds the colors not drawn yet
+            chosen = []
+            for size, bits in draws:
+                j = getrandbits(bits)
+                while j >= size:
+                    j = getrandbits(bits)
+                chosen.append(pool[j])
+                pool[j] = pool[size - 1]
+            chosen.sort()
+            append(tuple(chosen))
+    else:
+        bits = sigma.bit_length()
+        later_draws = range(k - 1)
+        for _ in range(g.n):
+            c = getrandbits(bits) + 1
+            while c > sigma:
+                c = getrandbits(bits) + 1
+            chosen = {c}  # the first draw cannot repeat a color
+            for _ in later_draws:
+                c = getrandbits(bits) + 1
+                while c > sigma or c in chosen:
+                    c = getrandbits(bits) + 1
+                chosen.add(c)
+            append(tuple(sorted(chosen)))
+    return ListAssignment._trusted(sigma, k, tuple(lists))
 
 
 def prob_identical_lists(clique_size: int, k: int, sigma: int) -> float:

@@ -77,6 +77,13 @@ class TestSampleAndSolve:
                          "--seed", 5)
         assert out1 == out2
 
+    def test_k_below_one_exits_one(self, c5_file, capsys):
+        code, out, err = run(
+            capsys, "sample", "--graph", c5_file, "--k", -1, "--sigma", 5
+        )
+        assert (code, out) == (1, "")
+        assert "k must be >= 1" in err
+
     def test_env_seed_override(self, c5_file, capsys, monkeypatch):
         monkeypatch.setenv("LISTCOLOR_SEED", "12345")
         # parser defaults are built at parse time through _default_seed

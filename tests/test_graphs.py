@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,34 @@ class TestInducedSubgraph:
         back_a = {v: k for k, v in map_a.items()}
         edges_a = {(back_a[u], back_a[v]) for u, v in sub_a.edges}
         assert edges_ab <= edges_a
+
+
+class TestComponentsKeptInGraph:
+    def test_repeated_call_returns_equal_lists(self):
+        g = clique_union(10, 2)
+        first = connected_components(g)
+        assert connected_components(g) == first == [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9,)]
+
+    def test_changing_a_result_does_not_change_the_next(self):
+        g = clique_union(10, 2)
+        comps = connected_components(g)
+        comps.pop()
+        comps[0] = (99,)
+        assert connected_components(g) == [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9,)]
+
+    def test_pickled_copy_computes_its_own(self):
+        g = clique_union(10, 2)
+        comps = connected_components(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy._components is None
+        assert connected_components(copy) == comps
+
+    def test_induced_subgraph_computes_its_own(self):
+        g = power_cycle(8, 1)
+        assert connected_components(g) == [tuple(range(8))]
+        sub, _ = induced_subgraph(g, [0, 1, 3, 4, 6])
+        assert sub._components is None
+        assert connected_components(sub) == [(0, 1), (2, 3), (4,)]
 
 
 class TestGraphIO:

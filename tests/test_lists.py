@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -48,6 +49,36 @@ def test_same_seed_same_assignment():
 def test_k_larger_than_sigma_rejected():
     with pytest.raises(InvalidParameterError):
         sample_assignment(Graph(1), 4, 3, SeedSpec(0))
+
+
+@pytest.mark.parametrize("n,k", [(3, 0), (3, -1), (0, -1)])
+def test_k_below_one_rejected(n, k):
+    with pytest.raises(InvalidParameterError, match="k must be >= 1"):
+        sample_assignment(Graph(n), k, 5, SeedSpec(0))
+
+
+# sigma <= 21 takes random.sample's pool branch; from k = 6 its set-size
+# switch moves, so at k = 7 sigma 85 is pooled and 86 is not.
+@pytest.mark.parametrize("sigma,k", [
+    (sigma, k)
+    for sigma in (2, 5, 18, 21, 22, 30, 48, 85, 86, 100)
+    for k in (1, 2, 3, 5, 6, 7)
+    if k <= sigma
+])
+def test_stream_replays_random_sample(sigma, k):
+    """The sampler's lists are those of random.sample on the same stream.
+
+    records.csv is pinned to that stream: if a Python release changes
+    random.sample, this fails rather than letting the CSV drift."""
+    n = 40
+    for seed in (SeedSpec(0), SeedSpec(987654321, 17), SeedSpec(2**64 + 5, 3)):
+        rng = random.Random(seed.stream_seed())
+        expected = tuple(
+            tuple(sorted(rng.sample(range(1, sigma + 1), k))) for _ in range(n)
+        )
+        sampled = sample_assignment(Graph(n), k, sigma, seed)
+        assert sampled.lists == expected
+        assert sampled == ListAssignment(sigma, k, expected)
 
 
 def test_seed_derivation_spreads():
