@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from listcolor import solver
 from listcolor.certificates import find_bad_triple
-from listcolor.corpus import corpus_assignments, small_connected_graphs
+from listcolor.corpus import corpus_assignments, default_combos, small_connected_graphs
 from listcolor.errors import CertificateError, GuardExceededError
 from listcolor.graphs import (
     Graph,
@@ -262,6 +263,28 @@ class TestExtractCritical:
         assert find_bad_triple(Graph(5, edges), uniform_lists(5, (1, 2, 3))) is not None
         assert shapes.count((5, 7)) == 1
         assert shapes.count((4, 6)) == 1
+
+    # sha256 over every uncolorable instance of a fixed slice: the connected
+    # graphs on at most 6 vertices, then disjoint unions of two of them (the
+    # first uncolorable component is the one kept), 10 assignments each over
+    # default_combos() at base seed 5.  A line is "gi ai core core-edges".
+    CORES_SHA256 = (575, "c6ca46b687b59bda4cdde3541cae1516606ef5fc751fc7a298e1efa580032f69")
+
+    def test_cores_digest_is_pinned(self):
+        connected = small_connected_graphs(6)
+        graphs = list(connected)
+        for i in range(20):
+            a, b = connected[(7 * i) % len(connected)], connected[(11 * i + 5) % len(connected)]
+            graphs.append(Graph(a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)]))
+        lines = []
+        for gi, g in enumerate(graphs):
+            for ai, a in corpus_assignments(g, gi, 10, default_combos(), base_seed=5):
+                if solve(g, a).colorable:
+                    continue
+                vs, sub = extract_critical(g, a)
+                lines.append(f"{gi} {ai} {vs} {sorted(sub.edges)}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == self.CORES_SHA256
 
     def test_core_satisfies_criticality(self):
         combos = ((2, 3), (3, 3))
