@@ -27,9 +27,17 @@ _NEG_INF = float("-inf")
 
 
 def log_comb(n: int, k: int) -> float:
-    """log C(n, k); -inf outside the triangle (a zero count)."""
+    """log C(n, k); -inf outside the triangle (a zero count).
+
+    When min(k, n - k) <= 20 it is a sum of log((n - i) / (i + 1)), exact to
+    a few ulps; the lgamma difference cancels there when n >> k (4.4e-11
+    relative at (10^6, 3)).
+    """
     if k < 0 or k > n or n < 0:
         return _NEG_INF
+    small = min(k, n - k)
+    if small <= 20:
+        return math.fsum(math.log((n - i) / (i + 1)) for i in range(small))
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 from .errors import CertificateError, GuardExceededError, InvalidParameterError
 from .graphs import INFINITE_GIRTH, Graph, girth, vertex_set
 from .lists import ListAssignment
-from .solver import Coloring, extract_critical, solve  # noqa: F401 -- bench/spans.py wraps solve here
+from .solver import Coloring, extract_critical, require_lists_for, solve  # noqa: F401 -- bench/spans.py wraps solve here
 
 CYCLE = "cycle"
 LOLLIPOP = "lollipop"
@@ -600,6 +600,7 @@ def find_2bad_pair(
     colors it tries every admissible second vertex and extends the forced
     color chain depth-first.  The budget bounds total search steps; running
     out raises instead of under-reporting."""
+    require_lists_for(g, assignment)
     _require_two_lists(assignment)
     budget = _Budget(max_nodes)
     for v in range(g.n):
@@ -865,6 +866,7 @@ def find_tree_bad(
     """Search every root (and semiroot, for even girth) for a tree-bad
     rooted k-proper tree; None when no tree qualifies within the guards.
     Rooted proper trees need k >= 2."""
+    require_lists_for(g, assignment)
     if k is None:
         k = assignment.k
     if k < 2:

@@ -211,25 +211,28 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     The BFS runs once per graph: the components are kept in the graph, and
     every call returns a new list of them, which the caller may change.
     """
-    if g._components is not None:
-        return list(g._components)
-    seen = [False] * g.n
+    if g._components is None:
+        object.__setattr__(g, "_components", tuple(components_of(g.adjacency, range(g.n))))
+    return list(g._components)
+
+
+def components_of(adjacency, vertices: Iterable[int]) -> list[tuple[int, ...]]:
+    """Connected components of the ascending vertex ids `vertices` under
+    `adjacency`, which maps each of them to its neighbors among them; each
+    component ascending, ordered by smallest member."""
+    seen = set()
     comps = []
-    for s in range(g.n):
-        if seen[s]:
+    for s in vertices:
+        if s in seen:
             continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+        seen.add(s)
+        comp = [s]
+        for v in comp:  # grows while it is read: a BFS
+            for w in adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
         comps.append(tuple(sorted(comp)))
-    object.__setattr__(g, "_components", tuple(comps))
     return comps
 
 

@@ -26,6 +26,14 @@ stopped.  `SolveStats.nodes` counts search nodes only, `dp_states` the
 states the DP built; every instance decided before the switch point is
 searched exactly as without it.
 
+`extract_critical` shrinks an uncolorable instance to a critical core on
+vertex sets of the host graph's ids: a candidate set gets its adjacency
+restricted to it once, and the component search runs on that mapping, so no
+subgraph or sub-assignment is built for it.  Each colorable candidate keeps
+its witness coloring, and a later candidate that one of them colors, as it
+is or extended by one vertex, is decided by that explicit coloring instead
+of a search; each vertex set is searched at most once.
+
 `brute_force_colorable` is an independent exhaustive oracle kept free of the
 solver's machinery; it is meant for tests and cross-validation only.
 """
@@ -39,7 +47,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .errors import CertificateError, GuardExceededError, InvalidParameterError, SolveTimeout
-from .graphs import Graph, connected_components, induced_subgraph, vertex_set
+from .graphs import Graph, components_of, connected_components, induced_subgraph
 from .lists import ListAssignment
 
 COLORABLE = "COLORABLE"
@@ -91,6 +99,12 @@ def verify_coloring(g: Graph, assignment: ListAssignment, coloring: Coloring) ->
     return True
 
 
+def require_lists_for(g: Graph, assignment: ListAssignment) -> None:
+    """Raise unless `assignment` holds exactly one list per vertex of g."""
+    if len(assignment) != g.n:
+        raise InvalidParameterError("assignment must define a list for every vertex")
+
+
 def _check_deadline(deadline):
     if deadline is not None and time.monotonic() > deadline:
         raise SolveTimeout("solver deadline expired")
@@ -111,7 +125,7 @@ def _frontier_width(order, adjacency) -> int:
     return width
 
 
-def _frontier_dp(order, g, assignment, stats, deadline) -> Coloring | None:
+def _frontier_dp(order, adjacency, assignment, stats, deadline) -> Coloring | None:
     """Decide a component exactly by processing `order` (ascending ids) and
     keeping the set of proper colorings of the frontier.
 
@@ -120,7 +134,7 @@ def _frontier_dp(order, g, assignment, stats, deadline) -> Coloring | None:
     Each step stores one back-pointer `parent_index * k + color_index` per
     new state; the witness is rebuilt backwards from the final state.
     """
-    adjacency, lists, k = g.adjacency, assignment.lists, assignment.k
+    lists, k = assignment.lists, assignment.k
     bits = k.bit_length()
     mask = (1 << bits) - 1
     leavers: dict[int, list[int]] = {}  # v -> processed vertices whose last neighbor is v
@@ -180,8 +194,9 @@ def _frontier_dp(order, g, assignment, stats, deadline) -> Coloring | None:
     return coloring
 
 
-def _solve_component(comp, g, assignment, stats, deadline) -> Coloring | None:
-    adjacency = g.adjacency
+def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring | None:
+    """A coloring of the component `comp` from its lists, or None; the
+    neighbors of each vertex of comp are `adjacency[v]`."""
     switch_at = stats.nodes + _SWITCH_BASE + _SWITCH_PER_VERTEX * len(comp)
     live = {v: set(assignment[v]) for v in comp}
     colors: Coloring = {}
@@ -266,7 +281,7 @@ def _solve_component(comp, g, assignment, stats, deadline) -> Coloring | None:
                 switch_at = float("inf")  # the width is computed once
                 order = sorted(comp)
                 if assignment.k ** _frontier_width(order, adjacency) <= _DP_MAX_STATES:
-                    return _frontier_dp(order, g, assignment, stats, deadline)
+                    return _frontier_dp(order, adjacency, assignment, stats, deadline)
             frames.append([v, sorted(live[v]), 0, None])
             stats.max_depth = max(stats.max_depth, len(frames))
         frame = frames[-1]
@@ -293,12 +308,11 @@ def solve(g: Graph, assignment: ListAssignment, deadline: float | None = None) -
     `deadline` (time.monotonic value) is a cooperative budget used by the
     experiment harness; the library default imposes none.
     """
-    if len(assignment) != g.n:
-        raise InvalidParameterError("assignment must define a list for every vertex")
+    require_lists_for(g, assignment)
     stats = SolveStats()
     witness: Coloring = {}
     for comp in connected_components(g):
-        part = _solve_component(comp, g, assignment, stats, deadline)
+        part = _solve_component(comp, g.adjacency, assignment, stats, deadline)
         if part is None:
             return SolveResult(UNCOLORABLE, None, stats)
         witness.update(part)
@@ -310,8 +324,7 @@ def brute_force_colorable(g: Graph, assignment: ListAssignment, guard: int = 10*
 
     Guarded: refuses product spaces larger than `guard` assignments.
     """
-    if len(assignment) != g.n:
-        raise InvalidParameterError("assignment must define a list for every vertex")
+    require_lists_for(g, assignment)
     space = 1
     for v in range(g.n):
         space *= len(assignment[v])
@@ -324,16 +337,33 @@ def brute_force_colorable(g: Graph, assignment: ListAssignment, guard: int = 10*
     return False
 
 
-def _first_uncolorable_component(g: Graph, assignment: ListAssignment, vs):
-    """The first connected component of g[vs] (ordered by smallest member,
-    in g's ids) that is not colorable from its lists, or None."""
-    sub, _ = induced_subgraph(g, vs)
-    new_to_old = sorted(vs)
-    for comp in connected_components(sub):
-        original = tuple(new_to_old[i] for i in comp)
-        part = sub if len(comp) == sub.n else induced_subgraph(g, original)[0]
-        if not solve(part, assignment.restrict(original)).colorable:
-            return original
+def _first_uncolorable_component(adjacency, comps, assignment):
+    """(the first of `comps` that is not colorable from its lists, None), or
+    (None, a coloring of all of them) when every one is colorable."""
+    stats = SolveStats()
+    witness: Coloring = {}
+    for comp in comps:
+        part = _solve_component(comp, adjacency, assignment, stats, None)
+        if part is None:
+            return comp, None
+        witness.update(part)
+    return None, witness
+
+
+def _kept_coloring(witnesses, core, u, adjacency, lists) -> Coloring | None:
+    """A coloring of core - u from the kept colorings, or None.
+
+    `witnesses[w]` colors (a superset of) core - w.  The one of w = u does
+    as it is; another one does once w gets a color of L(w) that none of its
+    neighbors in core - u carries.
+    """
+    if u in witnesses:
+        return witnesses[u]
+    for w, coloring in witnesses.items():
+        used = {coloring[x] for x in adjacency[w] if x != u and x in core}
+        free = next((c for c in lists[w] if c not in used), None)
+        if free is not None:
+            return {**coloring, w: free}
     return None
 
 
@@ -343,22 +373,42 @@ def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, .
     Returns (vertices, induced subgraph) where the core F is not colorable
     from its restricted lists but F minus any single vertex is.  Deletions
     are attempted in ascending id order and kept whenever the remainder stays
-    uncolorable, restricting to its first uncolorable component; the order is
-    fixed so certificates are reproducible.  Each vertex set is solved once,
-    component by component.  A colorable instance raises `CertificateError`.
+    uncolorable, restricting to its first uncolorable component (ordered by
+    smallest member); the order is fixed so certificates are reproducible.
+    A colorable instance raises `CertificateError`.
+
+    Candidates are vertex sets of g's ids: each gets its adjacency restricted
+    to it once, and its components are searched in place, so no subgraph or
+    sub-assignment is built except the returned one.  A colorable candidate
+    core - w keeps its witness, a proper coloring of core - w that stays one
+    of every later, smaller core - w.  Before core - u is searched the kept
+    colorings are tried: u's own as it is, another w's once w takes a color
+    of L(w) that none of its neighbors in core - u carries.  Only explicit
+    colorings and searches decide, so the core is the one a search of every
+    candidate gives, and each vertex set is searched at most once.
     """
-    core = _first_uncolorable_component(g, assignment, range(g.n))
+    require_lists_for(g, assignment)
+    core, _ = _first_uncolorable_component(g.adjacency, connected_components(g), assignment)
     if core is None:
         raise CertificateError("extract_critical called on a colorable instance")
-    while True:
-        for v in core:
-            trimmed = tuple(u for u in core if u != v)
-            smaller = trimmed and _first_uncolorable_component(g, assignment, trimmed)
-            if smaller:
-                core = smaller
-                break
-        else:
-            break
-    vs = vertex_set(core, g.n)
-    sub, _ = induced_subgraph(g, vs)
-    return vs, sub
+    # w -> a coloring of (a superset of) core - w; every such w stays in the
+    # core, since a coloring of all of it would make it colorable
+    witnesses: dict[int, Coloring] = {}
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        members = set(core)
+        for u in core:
+            witness = _kept_coloring(witnesses, members, u, g.adjacency, assignment.lists)
+            if witness is None:
+                inside = members - {u}
+                within = {v: tuple(x for x in g.adjacency[v] if x in inside)
+                          for v in core if v != u}
+                smaller, witness = _first_uncolorable_component(
+                    within, components_of(within, within), assignment
+                )
+                if smaller:
+                    core, shrinking = smaller, True
+                    break
+            witnesses[u] = witness
+    return core, induced_subgraph(g, core)[0]

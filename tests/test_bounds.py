@@ -64,6 +64,12 @@ class TestLogValue:
         for n in range(0, 40):
             for k in range(0, n + 1):
                 assert math.exp(log_comb(n, k)) == pytest.approx(math.comb(n, k), rel=1e-10)
+        # min(k, n - k) <= 20 up to n = 10^6, where lgamma differences cancel
+        for n in [*range(61), 97, 1000, 10**4, 65537, 10**5, 314159, 10**6]:
+            for small in range(min(20, n) + 1):
+                for k in (small, n - small):
+                    exact = math.log(math.comb(n, k))
+                    assert abs(log_comb(n, k) - exact) <= 1e-12 * exact, (n, k)
 
 
 class TestIdenticalCliqueBounds:

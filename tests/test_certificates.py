@@ -34,7 +34,7 @@ from listcolor.corpus import corpus_assignments, small_connected_graphs
 from listcolor.errors import CertificateError, GuardExceededError, InvalidParameterError
 from listcolor.graphs import Graph, complete_multipartite, girth, petersen, power_cycle
 from listcolor.lists import ListAssignment
-from listcolor.solver import brute_force_colorable, solve
+from listcolor.solver import brute_force_colorable, extract_critical, solve
 
 from conftest import uniform_lists
 
@@ -550,3 +550,16 @@ class TestCertificateJson:
         assert doc["kind"] == "tree-bad"
         assert doc["parity"] == "odd"
         assert len(doc["edges"]) == tree.size - 1
+
+
+class TestAssignmentLength:
+    """Every finder that reads lists by vertex id rejects an assignment
+    with more or fewer lists than vertices, as `solve` does."""
+
+    @pytest.mark.parametrize("finder", [
+        extract_critical, find_bad_triple, find_2bad_pair, find_tree_bad,
+    ], ids=["extract_critical", "find_bad_triple", "find_2bad_pair", "find_tree_bad"])
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_wrong_list_count_is_rejected(self, c5, finder, count):
+        with pytest.raises(InvalidParameterError, match="a list for every vertex"):
+            finder(c5, uniform_lists(count, (1, 2)))

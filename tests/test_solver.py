@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listcolor import solver
-from listcolor.certificates import find_bad_triple
+from listcolor.certificates import find_bad_triple, is_bad_triple
 from listcolor.corpus import corpus_assignments, default_combos, small_connected_graphs
 from listcolor.errors import CertificateError, GuardExceededError
 from listcolor.graphs import (
@@ -238,31 +238,45 @@ class TestExtractCritical:
         with pytest.raises(CertificateError):
             extract_critical(c4, uniform_lists(4, (1, 2)))
 
+    @staticmethod
+    def record_searches(monkeypatch):
+        """Vertex sets that `_solve_component` searches, in call order."""
+        searched = []
+        original = solver._solve_component
+
+        def recording(comp, adjacency, assignment, stats, deadline):
+            searched.append(tuple(comp))
+            return original(comp, adjacency, assignment, stats, deadline)
+
+        monkeypatch.setattr(solver, "_solve_component", recording)
+        return searched
+
     def test_solves_a_connected_instance_whole_once(self, c5, monkeypatch):
-        sizes = []
-
-        def counting_solve(g, assignment, deadline=None):
-            sizes.append(g.n)
-            return solve(g, assignment, deadline)
-
-        monkeypatch.setattr(solver, "solve", counting_solve)
+        searched = self.record_searches(monkeypatch)
         extract_critical(c5, uniform_lists(5, (1, 2)))
-        assert sizes.count(5) == 1
+        assert searched.count((0, 1, 2, 3, 4)) == 1
 
     def test_find_bad_triple_solves_each_vertex_set_once(self, monkeypatch):
-        shapes = []
-
-        def counting_solve(g, assignment, deadline=None):
-            shapes.append((g.n, len(g.edges)))
-            return solve(g, assignment, deadline)
-
-        monkeypatch.setattr(solver, "solve", counting_solve)
-        # K4 plus a pendant vertex: the whole graph and its K4 core are the
-        # only vertex sets of their shapes
+        searched = self.record_searches(monkeypatch)
+        # K4 plus a pendant vertex: the whole graph, then its K4 core
         edges = list(itertools.combinations(range(4), 2)) + [(3, 4)]
         assert find_bad_triple(Graph(5, edges), uniform_lists(5, (1, 2, 3))) is not None
-        assert shapes.count((5, 7)) == 1
-        assert shapes.count((4, 6)) == 1
+        assert searched.count((0, 1, 2, 3, 4)) == 1
+        assert searched.count((0, 1, 2, 3)) == 1
+        assert len(searched) == len(set(searched))
+
+    def test_no_vertex_set_is_searched_twice(self, monkeypatch):
+        searched = self.record_searches(monkeypatch)
+        calls = 0
+        for gi, g in enumerate(small_connected_graphs(6)):
+            for _, a in corpus_assignments(g, gi, 5, default_combos(), base_seed=9):
+                if brute_force_colorable(g, a):
+                    continue
+                searched.clear()
+                extract_critical(g, a)
+                calls += 1
+                assert len(searched) == len(set(searched)), (gi, searched)
+        assert calls > 100
 
     # sha256 over every uncolorable instance of a fixed slice: the connected
     # graphs on at most 6 vertices, then disjoint unions of two of them (the
@@ -308,6 +322,28 @@ class TestExtractCritical:
                     )
                     assert solve(smaller, smaller_lists).colorable
         assert hits > 10
+
+
+@given(small_instances())
+@settings(max_examples=300, deadline=None)
+def test_critical_core_is_critical_by_the_oracle(instance):
+    """On uncolorable instances (disconnected ones too), the core is
+    connected and uncolorable, and every single deletion leaves it
+    colorable, all judged by the exhaustive oracle; the bad triple found on
+    the instance passes its checker."""
+    g, a = instance
+    if brute_force_colorable(g, a):
+        return
+    vs, sub = extract_critical(g, a)
+    lists = a.restrict(vs)
+    assert len(connected_components(sub)) == 1
+    assert not brute_force_colorable(sub, lists)
+    for drop in range(sub.n):
+        rest = [v for v in range(sub.n) if v != drop]
+        smaller, _ = induced_subgraph(sub, rest)
+        assert brute_force_colorable(smaller, lists.restrict(rest))
+    triple = find_bad_triple(g, a)
+    assert triple is not None and is_bad_triple(g, a, triple)[0]
 
 
 @given(st.integers(0, 2**32), st.integers(4, 6))
