@@ -26,13 +26,10 @@ stopped.  `SolveStats.nodes` counts search nodes only, `dp_states` the
 states the DP built; every instance decided before the switch point is
 searched exactly as without it.
 
-`extract_critical` shrinks an uncolorable instance to a critical core on
-vertex sets of the host graph's ids: a candidate set gets its adjacency
-restricted to it once, and the component search runs on that mapping, so no
-subgraph or sub-assignment is built for it.  Each colorable candidate keeps
-its witness coloring, and a later candidate that one of them colors, as it
-is or extended by one vertex, is decided by that explicit coloring instead
-of a search; each vertex set is searched at most once.
+`extract_critical` works on vertex sets of the host graph's ids, each
+searched in place on its restricted adjacency; colorable candidates keep
+their witnesses, which decide later candidates they extend to, so each
+vertex set is searched at most once.
 
 `brute_force_colorable` is an independent exhaustive oracle kept free of the
 solver's machinery; it is meant for tests and cross-validation only.
@@ -394,9 +391,7 @@ def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, .
     # w -> a coloring of (a superset of) core - w; every such w stays in the
     # core, since a coloring of all of it would make it colorable
     witnesses: dict[int, Coloring] = {}
-    shrinking = True
-    while shrinking:
-        shrinking = False
+    while True:
         members = set(core)
         for u in core:
             witness = _kept_coloring(witnesses, members, u, g.adjacency, assignment.lists)
@@ -408,7 +403,8 @@ def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, .
                     within, components_of(within, within), assignment
                 )
                 if smaller:
-                    core, shrinking = smaller, True
+                    core = smaller
                     break
             witnesses[u] = witness
-    return core, induced_subgraph(g, core)[0]
+        else:
+            return core, induced_subgraph(g, core)[0]
