@@ -212,25 +212,25 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     every call returns a new list of them, which the caller may change.
     """
     if g._components is None:
-        object.__setattr__(g, "_components", tuple(components_of(g.adjacency, range(g.n))))
+        object.__setattr__(g, "_components", tuple(components_of(g.adjacency, range(g.n), g.n)))
     return list(g._components)
 
 
-def components_of(adjacency, vertices: Iterable[int]) -> list[tuple[int, ...]]:
-    """Connected components of the ascending vertex ids `vertices` under
+def components_of(adjacency, vertices: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """Connected components of `vertices`, ascending ids below n, under
     `adjacency`, which maps each of them to its neighbors among them; each
     component ascending, ordered by smallest member."""
-    seen = set()
+    seen = bytearray(n)
     comps = []
     for s in vertices:
-        if s in seen:
+        if seen[s]:
             continue
-        seen.add(s)
+        seen[s] = 1
         comp = [s]
         for v in comp:  # grows while it is read: a BFS
             for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = 1
                     comp.append(w)
         comps.append(tuple(sorted(comp)))
     return comps

@@ -400,7 +400,7 @@ def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, .
                 within = {v: tuple(x for x in g.adjacency[v] if x in inside)
                           for v in core if v != u}
                 smaller, witness = _first_uncolorable_component(
-                    within, components_of(within, within), assignment
+                    within, components_of(within, within, g.n), assignment
                 )
                 if smaller:
                     core = smaller
