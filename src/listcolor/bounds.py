@@ -2,7 +2,8 @@
 
 Quantities like Delta^(k^2+k) or (m-1)! overflow machine floats, and the
 arguments only ever need ratios and comparisons, so all arithmetic happens on
-natural-log magnitudes.  Binomial coefficients go through lgamma; an exact
+natural-log magnitudes.  Binomial coefficients go through lgamma, or a sum of
+logs of ratios when the smaller of k and n - k is at most 20; an exact
 integer path (math.comb) is used by the tests for cross-validation.
 
 Asymptotic "omega(...)" thresholds are reported as the evaluated expression
