@@ -36,6 +36,14 @@ def test_graph_adjacency_symmetric_and_sorted():
         assert list(g.adjacency[u]) == sorted(g.adjacency[u])
 
 
+def test_has_edge_is_false_outside_the_vertex_range():
+    g = power_cycle(5, 1)  # 4 ~ 0 closes the cycle, so -1 must not wrap to 4
+    assert g.has_edge(0, 4) and g.has_edge(4, 0)
+    for u, v in [(-1, 0), (0, -1), (-1, 3), (-5, 1), (5, 0), (0, 5), (6, 7), (2, 2)]:
+        assert not g.has_edge(u, v), (u, v)
+    assert not Graph(0).has_edge(0, 0)
+
+
 def test_handshake_on_generated_graphs():
     for g in [power_cycle(8, 2), clique_union(10, 2), complete_multipartite([2, 2, 2]), petersen()]:
         assert sum(g.degree(v) for v in g.vertices()) == 2 * len(g.edges)
