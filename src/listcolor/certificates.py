@@ -75,9 +75,10 @@ def _validate_root_deleted_coloring(g, assignment, coloring, origin):
     for v in expected:
         if coloring[v] not in assignment[v]:
             raise CertificateError(f"vertex {v} colored outside its list")
-    for u, v in g.edges:
-        if u != origin and v != origin and coloring[u] == coloring[v]:
-            raise CertificateError(f"edge {u}-{v} is monochromatic")
+    for u in expected:
+        for v in g.adjacency[u]:
+            if u < v and v != origin and coloring[u] == coloring[v]:
+                raise CertificateError(f"edge {u}-{v} is monochromatic")
 
 
 def _alt_distances(adj, assignment, coloring, origin) -> dict[int, int]:
@@ -228,6 +229,7 @@ def is_bad_triple(
     function, (b) puts every color of the root's list on a root neighbor,
     and (c) satisfies the swap condition above.
     """
+    require_lists_for(g, assignment)
     triple.validate(g)
     if triple.size > max_size:
         raise GuardExceededError(f"triple has {triple.size} > {max_size} vertices")
@@ -500,6 +502,7 @@ def is_2bad_pair(
     """Check the three 2-bad conditions: both members alternate, their first
     colors are the two distinct colors of the shared first vertex's list, and
     their second vertices differ."""
+    require_lists_for(g, assignment)
     _require_two_lists(assignment)
     pair.validate(g)
     if pair.h1.second_vertex == pair.h2.second_vertex:

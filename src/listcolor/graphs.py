@@ -1,9 +1,10 @@
 """Immutable simple undirected graphs with dense integer vertex ids.
 
-Vertices are always 0..n-1.  Generators are deterministic (no RNG), so
-experiment provenance lives entirely in the list sampler; FAMILIES is the one
-registry of them that configs and the CLI read.  Graph values are immutable
-after construction and safe to share across workers.
+Vertices are always 0..n-1, and a graph stores only its neighbor tuples.
+Generators are deterministic (no RNG), so experiment provenance lives entirely
+in the list sampler; FAMILIES is the one registry of them that configs and the
+CLI read.  Graph values are immutable after construction and safe to share
+across workers.
 """
 
 from __future__ import annotations
@@ -20,55 +21,64 @@ INFINITE_GIRTH = math.inf
 class Graph:
     """Simple undirected graph: no self-loops, no duplicate edges.
 
-    Edges are stored as a frozenset of (u, v) pairs with u < v; per-vertex
-    sorted neighbor tuples are derived at construction.  The girth and the
-    connected components are computed by `girth` and `connected_components`
-    on first use and kept in the `_girth` and `_components` slots; pickling
-    keeps neither, so an unpickled copy computes its own.
+    Only `adjacency`, each vertex's ascending neighbor tuple, is stored;
+    `edges`, the frozenset of (u, v) pairs with u < v, is derived on each read.
+    The girth and the connected components are computed by `girth` and
+    `connected_components` on first use and kept in the `_girth` and
+    `_components` slots; pickling keeps neither, so an unpickled copy computes
+    its own.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_girth", "_components")
+    __slots__ = ("n", "adjacency", "_girth", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InvalidParameterError("vertex count must be non-negative")
-        normalized = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InvalidParameterError(f"self-loop at vertex {u}")
-            normalized.add((u, v) if u < v else (v, u))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in normalized:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(normalized))
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "adjacency", tuple(tuple(sorted(set(a))) for a in adj))
         object.__setattr__(self, "_girth", None)
         object.__setattr__(self, "_components", None)
 
+    @classmethod
+    def _trusted(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
+        """Wrap n ascending neighbor tuples known to be symmetric and loop-free;
+        the generators build through this, naming each id by one int object."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "_girth", None)
+        object.__setattr__(self, "_components", None)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u, a in enumerate(self.adjacency) for v in a if u < v)
 
     def __reduce__(self):
         return (Graph, (self.n, tuple(sorted(self.edges))))
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.adjacency == other.adjacency
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adjacency))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={sum(map(len, self.adjacency)) // 2})"
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -77,7 +87,7 @@ class Graph:
         return max((len(a) for a in self.adjacency), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
+        return 0 <= u < self.n and v in self.adjacency[u]
 
 
 def vertex_set(ids: Iterable[int], n: int | None = None) -> tuple[int, ...]:
@@ -102,12 +112,10 @@ def power_cycle(n: int, r: int) -> Graph:
         raise InvalidParameterError("power cycle needs n >= 3")
     if not 1 <= r or not r < n / 2:
         raise InvalidParameterError(f"power cycle needs 1 <= r < n/2, got r={r}, n={n}")
-    edges = set()
-    for i in range(n):
-        for d in range(1, r + 1):
-            j = (i + d) % n
-            edges.add((min(i, j), max(i, j)))
-    return Graph(n, edges)
+    ids = tuple(range(n))
+    return Graph._trusted(n, tuple(
+        tuple(sorted(ids[(i + d) % n] for d in range(-r, r + 1) if d)) for i in ids
+    ))
 
 
 def clique_union(n: int, delta: int) -> Graph:
@@ -121,13 +129,10 @@ def clique_union(n: int, delta: int) -> Graph:
     if n < delta + 1:
         raise InvalidParameterError(f"clique union needs n >= delta+1, got n={n}, delta={delta}")
     block = delta + 1
-    edges = []
-    for b in range(n // block):
-        base = b * block
-        for i in range(block):
-            for j in range(i + 1, block):
-                edges.append((base + i, base + j))
-    return Graph(n, edges)
+    ids = tuple(range(n))
+    cliques = (ids[base:base + block] for base in range(0, n - n % block, block))
+    adjacency = tuple(c[:i] + c[i + 1:] for c in cliques for i in range(block))
+    return Graph._trusted(n, adjacency + ((),) * (n % block))
 
 
 def complete_multipartite(part_sizes: Iterable[int]) -> Graph:
@@ -137,17 +142,12 @@ def complete_multipartite(part_sizes: Iterable[int]) -> Graph:
         raise InvalidParameterError("complete multipartite needs at least 2 parts")
     if any(s < 1 for s in sizes):
         raise InvalidParameterError("every part needs size >= 1")
-    bounds = [0]
+    ids = tuple(range(sum(sizes)))
+    adjacency = []
     for s in sizes:
-        bounds.append(bounds[-1] + s)
-    n = bounds[-1]
-    edges = []
-    for p in range(len(sizes)):
-        for q in range(p + 1, len(sizes)):
-            for u in range(bounds[p], bounds[p + 1]):
-                for v in range(bounds[q], bounds[q + 1]):
-                    edges.append((u, v))
-    return Graph(n, edges)
+        lo = len(adjacency)
+        adjacency += [ids[:lo] + ids[lo + s:]] * s  # one tuple for the whole part
+    return Graph._trusted(len(ids), tuple(adjacency))
 
 
 def petersen() -> Graph:
@@ -244,12 +244,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     """
     vs = vertex_set(vertices, g.n)
     old_to_new = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (old_to_new[u], old_to_new[v])
-        for (u, v) in g.edges
-        if u in old_to_new and v in old_to_new
-    ]
-    return Graph(len(vs), edges), old_to_new
+    adjacency = tuple(
+        tuple(old_to_new[w] for w in g.adjacency[v] if w in old_to_new) for v in vs
+    )
+    return Graph._trusted(len(vs), adjacency), old_to_new
 
 
 # ---------------------------------------------------------------------------

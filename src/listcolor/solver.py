@@ -87,11 +87,8 @@ def verify_coloring(g: Graph, assignment: ListAssignment, coloring: Coloring) ->
         raise InvalidParameterError("assignment does not cover the graph")
     if any(v not in coloring for v in range(g.n)):
         raise InvalidParameterError("coloring must be total on V(g)")
-    for v in range(g.n):
-        if coloring[v] not in assignment[v]:
-            return False
-    for u, v in g.edges:
-        if coloring[u] == coloring[v]:
+    for u, nbrs in enumerate(g.adjacency):
+        if coloring[u] not in assignment[u] or any(coloring[v] == coloring[u] for v in nbrs):
             return False
     return True
 

@@ -552,13 +552,25 @@ class TestCertificateJson:
         assert len(doc["edges"]) == tree.size - 1
 
 
+def _check_found_triple(g, assignment):
+    """is_bad_triple on the triple found with g's own 2-lists."""
+    return is_bad_triple(g, assignment, find_bad_triple(g, uniform_lists(g.n, (1, 2))))
+
+
+def _check_found_pair(g, assignment):
+    """is_2bad_pair on the pair found with g's own 2-lists."""
+    return is_2bad_pair(g, assignment, find_2bad_pair(g, uniform_lists(g.n, (1, 2))))
+
+
 class TestAssignmentLength:
-    """Every finder that reads lists by vertex id rejects an assignment
-    with more or fewer lists than vertices, as `solve` does."""
+    """Every finder and checker that reads lists by vertex id rejects an
+    assignment with more or fewer lists than vertices, as `solve` does."""
 
     @pytest.mark.parametrize("finder", [
         extract_critical, find_bad_triple, find_2bad_pair, find_tree_bad,
-    ], ids=["extract_critical", "find_bad_triple", "find_2bad_pair", "find_tree_bad"])
+        _check_found_triple, _check_found_pair,
+    ], ids=["extract_critical", "find_bad_triple", "find_2bad_pair", "find_tree_bad",
+            "is_bad_triple", "is_2bad_pair"])
     @pytest.mark.parametrize("count", [4, 6])
     def test_wrong_list_count_is_rejected(self, c5, finder, count):
         with pytest.raises(InvalidParameterError, match="a list for every vertex"):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from listcolor.errors import GraphParseError, InvalidParameterError
 from listcolor.graphs import (
+    FAMILIES,
     Graph,
     clique_union,
     complete_multipartite,
@@ -190,6 +192,79 @@ class TestInducedSubgraph:
         back_a = {v: k for k, v in map_a.items()}
         edges_a = {(back_a[u], back_a[v]) for u, v in sub_a.edges}
         assert edges_ab <= edges_a
+
+
+# small argument grids, one per entry of FAMILIES
+FAMILY_GRIDS = {
+    "clique_union": [(n, d) for n in (2, 5, 7, 12) for d in (1, 2, 3, 6) if n >= d + 1],
+    "power_cycle": [(n, r) for n in (3, 4, 7, 10) for r in range(1, n) if r < n / 2],
+    "complete_multipartite": [([1, 1],), ([2, 3],), ([1, 2, 3],), ([3, 1, 3, 2],)],
+    "petersen": [()],
+}
+
+
+def family_graphs():
+    assert FAMILY_GRIDS.keys() == FAMILIES.keys()
+    for name, (generator, _) in FAMILIES.items():
+        for args in FAMILY_GRIDS[name]:
+            yield name, args, generator(*args)
+
+
+class TestTrustedConstruction:
+    """Generators and induced_subgraph build adjacency without the public
+    constructor's checks; these pin what they build to what it builds."""
+
+    def test_generators_match_the_public_constructor(self):
+        for name, args, g in family_graphs():
+            rebuilt = Graph(g.n, g.edges)
+            assert rebuilt == g and hash(rebuilt) == hash(g), (name, args)
+            assert rebuilt.adjacency == g.adjacency, (name, args)
+            assert all(type(v) is int for a in g.adjacency for v in a), (name, args)
+
+    def test_induced_subgraph_matches_an_edge_filter(self):
+        g = petersen()
+        for size in range(11):
+            for vs in itertools.combinations(range(10), size):
+                sub, old_to_new = induced_subgraph(g, vs)
+                expected = Graph(size, [
+                    (old_to_new[u], old_to_new[v])
+                    for u, v in g.edges if u in old_to_new and v in old_to_new
+                ])
+                assert sub == expected and sub.adjacency == expected.adjacency, vs
+
+    def test_pickle_round_trips_compare_equal(self):
+        graphs = [g for _, _, g in family_graphs()]
+        graphs.append(induced_subgraph(petersen(), [0, 2, 5, 7, 8])[0])
+        for g in graphs:
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy == g and copy.adjacency == g.adjacency and copy.edges == g.edges
+
+    def test_constructor_tolerates_duplicates(self):
+        g = Graph(3, [(0, 1), (1, 0), (0, 1), (2, 1)])
+        assert g.adjacency == ((1,), (0, 2), (1,))
+        assert g.edges == frozenset({(0, 1), (1, 2)})
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 0), (2, -3)])
+    def test_constructor_rejects_out_of_range_ids(self, edge):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            Graph(3, [edge])
+
+
+def test_clique_union_retains_less_than_half_of_an_edge_set_graph():
+    # A graph that also kept its edges as a frozenset of tuples retained
+    # 8.18 MiB here (Python 3.11); the adjacency alone needs about 2.1 MiB.
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = clique_union(20000, 4)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert g.n == 20000
+    assert retained < 8.18 / 2 * 2**20
 
 
 class TestComponentsKeptInGraph:
