@@ -50,7 +50,7 @@ class Graph:
     @classmethod
     def _trusted(cls, n: int, adjacency: tuple[tuple[int, ...], ...]) -> "Graph":
         """Wrap n ascending neighbor tuples known to be symmetric and loop-free;
-        the generators build through this, naming each id by one int object."""
+        the generators build through this, each id one shared int object."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", adjacency)
