@@ -180,7 +180,10 @@ def girth(g: Graph):
 
     BFS from every vertex, O(n*m); the only super-linear structural query in
     this module.  It runs once per graph: the value is kept in the graph, and
-    later calls return it.
+    later calls return it.  A BFS stops at the first vertex it pops at a depth
+    d with 2d+1 >= the best cycle so far: every cycle it could still close is
+    at least that long, and a shorter cycle is found from one of its own
+    vertices at a smaller depth.
     """
     if g._girth is not None:
         return g._girth
@@ -191,6 +194,8 @@ def girth(g: Graph):
         queue = deque([s])
         while queue:
             v = queue.popleft()
+            if 2 * dist[v] + 1 >= best:
+                break
             for w in g.adjacency[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1

@@ -153,6 +153,11 @@ class TestGirth:
             g = Graph(5, edges)
             assert girth(g) == exhaustive_girth(g), edges
 
+    def test_agrees_with_exhaustive_enumeration_on_every_family(self):
+        for name, args, g in family_graphs():
+            if g.n <= 10:  # the enumeration grows as (n-1)!
+                assert girth(g) == exhaustive_girth(g), (name, args)
+
     @given(st.integers(6, 8), st.data())
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_exhaustive_enumeration_random(self, n, data):
