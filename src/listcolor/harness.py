@@ -11,15 +11,18 @@ component whose frontier is too wide for it.  Per-trial wall times are kept
 out of the CSV to keep it byte-identical (they live in summary.json as
 per-point means).
 
-Worker model: a sweep builds each n's graph once.  With workers > 1,
-run_point forks a Pool whose workers inherit that graph at fork time (it is
-an initializer argument, which fork does not pickle); each job carries only
-the trial's seed coordinates.  The graph keeps its connected components once
-computed, so the trials that share it in one process scan it once.  Each
-trial's lists come from `sample_assignment`, whose draws replay
-`random.sample` exactly, so records.csv keeps its stream.  A trial that
-raises an unexpected exception is recorded with status "error" instead of
-ending the sweep.
+Worker model: a sweep builds each n's graph once and streams every trial
+of every cell of that n, in grid order, through one `_trial_records` stream;
+each cell's run_point takes its own trials from it.  With workers > 1 the
+stream is one fork Pool per n, of at most one worker per trial, whose
+workers inherit the graph and its connected components, computed just
+before the fork (the graph is an initializer argument, which fork does not
+pickle); each job carries only the trial's seed coordinates, and a worker
+that finishes one cell's trials goes on to the next cell's.  At one worker
+the trials run in-process, each as its record is drawn.  Each trial's lists
+come from `sample_assignment`, whose draws replay `random.sample` exactly,
+so records.csv keeps its stream.  A trial that raises an unexpected
+exception is recorded with status "error" instead of ending the sweep.
 
 Graph families and certificate kinds come from one registry each,
 graphs.FAMILIES and certificates.CERTIFICATE_KINDS; a trial tries only the
@@ -30,16 +33,18 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from . import certificates as certs
 from .corpus import corpus_assignments, default_combos, small_connected_graphs
 from .errors import ConfigError, GuardExceededError, InvalidParameterError, SolveTimeout
-from .graphs import FAMILIES, Graph, girth
+from .graphs import FAMILIES, Graph, connected_components, girth
 from .lists import ListAssignment, SeedSpec, derive_seed, sample_assignment
 from .scaling import ScalingExpr, parse_scaling
 from .solver import solve
@@ -99,6 +104,16 @@ class GraphFamily:
 def _family_params(name: str) -> list[str]:
     """The family_params keys a family needs: its generator's arguments but n."""
     return [key for key in FAMILIES[name][1] if key != "n"]
+
+
+def _config_int(raw, key: str) -> int:
+    """A config value the schema types "integer": an int, or a float with no
+    fractional part; bools, strings and other numbers are rejected."""
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{key} must be an integer, got {raw!r}")
+    return raw
 
 
 def _coerce_expr(raw) -> ScalingExpr:
@@ -253,8 +268,8 @@ def _run_trial(g: Graph, job: tuple) -> TrialRecord:
     )
 
 
-# The graph of the current run_point, set in each Pool worker by
-# _init_worker; the serial path passes its graph directly and never sets it.
+# The graph of the current Pool, set in each Pool worker by _init_worker;
+# the in-process stream passes its graph directly and never sets it.
 _worker_graph: Graph | None = None
 
 
@@ -267,6 +282,36 @@ def _run_worker_trial(job: tuple) -> TrialRecord:
     return _run_trial(_worker_graph, job)
 
 
+def _point_jobs(n, k, sigma, trials, base_seed, timeout_seconds, certificate_kinds) -> list:
+    point_seed = derive_seed(base_seed, n, k, sigma)
+    return [
+        (n, k, sigma, i, point_seed, timeout_seconds, certificate_kinds)
+        for i in range(trials)
+    ]
+
+
+def _trial_records(g: Graph, jobs: list, workers: int) -> Iterator[TrialRecord]:
+    """The records of `jobs` on `g`, in job order.
+
+    With one worker or one job each trial runs in this process as its record
+    is drawn.  Otherwise one fork Pool of min(workers, len(jobs)) workers
+    runs them all; its workers inherit `g` with its components, and it is
+    shut down when the stream is exhausted or closed.
+    """
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        for job in jobs:
+            yield _run_trial(g, job)
+        return
+    import multiprocessing
+
+    connected_components(g)  # once, here: the forked workers inherit it
+    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (g,)) as pool:
+        yield from pool.imap(
+            _run_worker_trial, jobs, chunksize=max(1, len(jobs) // (4 * workers))
+        )
+
+
 def run_point(
     family: GraphFamily | Graph,
     n: int,
@@ -277,13 +322,18 @@ def run_point(
     timeout_seconds: float | None = 5.0,
     certificate_kinds: tuple[str, ...] = (),
     workers: int = 1,
+    *,
+    _records: Iterator[TrialRecord] | None = None,
 ) -> PointResult:
     """Estimate the colorability probability at one (n, k, sigma) grid cell.
 
-    `family` is built at `n` unless it is already a Graph.  With workers > 1
-    the trials run in a fork Pool whose workers inherit the graph at fork;
-    each job carries only (n, k, sigma, trial index, point seed, timeout,
-    certificate kinds), so no graph is pickled.
+    `family` is built at `n` unless it is already a Graph.  The trials run
+    through `_trial_records`: with workers > 1 in a fork Pool of at most one
+    worker per trial, whose workers inherit the graph at fork; each job
+    carries only (n, k, sigma, trial index, point seed, timeout, certificate
+    kinds), so no graph is pickled.  `sweep` passes `_records`, the stream
+    of all the trials of one n, from which this cell takes its `trials`
+    records in trial order.
 
     Timed-out trials and trials that raised (status "error") are recorded,
     counted separately, and excluded from p_hat (never silently dropped).
@@ -296,20 +346,11 @@ def run_point(
         raise InvalidParameterError(f"k={k} exceeds sigma={sigma}")
     _check_run_args(timeout_seconds, certificate_kinds, workers, InvalidParameterError)
     g = family if isinstance(family, Graph) else family.build(n)
-    point_seed = derive_seed(base_seed, n, k, sigma)
-    jobs = [
-        (n, k, sigma, i, point_seed, timeout_seconds, certificate_kinds)
-        for i in range(trials)
-    ]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers, _init_worker, (g,)) as pool:
-            records = pool.map(
-                _run_worker_trial, jobs, chunksize=max(1, trials // (4 * workers))
-            )
+    jobs = _point_jobs(n, k, sigma, trials, base_seed, timeout_seconds, certificate_kinds)
+    if _records is None:
+        records = list(_trial_records(g, jobs, workers))
     else:
-        records = [_run_trial(g, job) for job in jobs]
+        records = list(itertools.islice(_records, len(jobs)))
     completed = [r for r in records if r.status == "ok"]
     timeouts = sum(1 for r in records if r.status == "timeout")
     colorable = sum(1 for r in completed if r.colorable)
@@ -366,11 +407,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown graph family {family_name!r}; known: {', '.join(FAMILIES)}"
             )
+        if not isinstance(raw["n_grid"], (list, tuple)):
+            raise ConfigError(f"n_grid must be a list, got {raw['n_grid']!r}")
+        n_grid = tuple(_config_int(x, "n_grid") for x in raw["n_grid"])
+        trials = _config_int(raw["trials"], "trials")
+        base_seed = _config_int(raw.get("base_seed", 0), "base_seed")
+        workers = _config_int(raw.get("workers", 1), "workers")
         try:
-            n_grid = tuple(int(x) for x in raw["n_grid"])
-            trials = int(raw["trials"])
-            base_seed = int(raw.get("base_seed", 0))
-            workers = int(raw.get("workers", 1))
             raw_params = dict(raw.get("family_params", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from None
@@ -515,29 +558,26 @@ def trend_violation_count(points: list[PointResult]) -> int:
 
 def sweep(config: ExperimentConfig) -> SweepResult:
     """One run_point per (n, sigma) grid cell, plus crossing and trend
-    diagnostics per n.  Each n's graph is built once and shared by its
-    cells (and inherited by their Pool workers)."""
+    diagnostics per n.  Each n's graph is built once, and every trial of its
+    cells runs through one `_trial_records` stream (one Pool per n when
+    workers > 1), closed even when a cell raises."""
     points: list[PointResult] = []
     crossings: dict[int, float | None] = {}
     trends: dict[int, int] = {}
     cells = config.grid()
+    run_args = (config.trials, config.base_seed, config.timeout_seconds, config.certificate_kinds)
     for n in config.n_grid:
         g = config.family.build(n)
-        row = [
-            run_point(
-                g,
-                n,
-                k,
-                sigma,
-                config.trials,
-                config.base_seed,
-                config.timeout_seconds,
-                config.certificate_kinds,
-                config.workers,
-            )
-            for nn, k, sigma in cells
-            if nn == n
-        ]
+        row_cells = [(k, sigma) for nn, k, sigma in cells if nn == n]
+        jobs = [job for k, sigma in row_cells for job in _point_jobs(n, k, sigma, *run_args)]
+        stream = _trial_records(g, jobs, config.workers)
+        try:
+            row = [
+                run_point(g, n, k, sigma, *run_args, config.workers, _records=stream)
+                for k, sigma in row_cells
+            ]
+        finally:
+            stream.close()
         row.sort(key=lambda p: p.sigma)
         points.extend(row)
         crossings[n] = p_half_crossing([p.sigma for p in row], [p.p_hat for p in row])
@@ -642,8 +682,6 @@ def identical_list_clique_count(g: Graph, assignment: ListAssignment, k: int) ->
     graphs whose non-trivial components are cliques (the clique_union
     family); grouping by component keeps this linear."""
     from collections import Counter
-
-    from .graphs import connected_components
 
     total = 0
     for comp in connected_components(g):

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import multiprocessing.pool
+import os
 from pathlib import Path
 
 import pytest
 
 from listcolor import certificates as certs
-from listcolor import harness
+from listcolor import graphs, harness
 from listcolor.certificates import CERTIFICATE_KINDS, certificate_to_json, find_certificate
 from listcolor.cli import _build_parser
 from listcolor.corpus import small_connected_graphs
@@ -174,6 +177,30 @@ def count_girth_computations(monkeypatch) -> list:
     return computed
 
 
+def count_pools(monkeypatch) -> list:
+    """Wrap Pool construction; the returned list gets each Pool's size."""
+    sizes = []
+    real_init = multiprocessing.pool.Pool.__init__
+
+    def counting_init(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        real_init(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
+    return sizes
+
+
+class TestPoolSize:
+    def test_no_more_workers_than_trials(self, monkeypatch):
+        sizes = count_pools(monkeypatch)
+        one = run_point(petersen(), 10, 2, 3, 1, 0, workers=4)
+        assert sizes == [] and one.completed == 1  # one trial runs in-process
+        three = run_point(petersen(), 10, 2, 3, 3, 0, workers=4)
+        assert sizes == [3] and three.completed == 3
+        serial = run_point(petersen(), 10, 2, 3, 3, 0)
+        assert [r.csv_row() for r in three.records] == [r.csv_row() for r in serial.records]
+
+
 class TestGirthOncePerGraph:
     def test_run_point_computes_girth_once(self, monkeypatch):
         computed = count_girth_computations(monkeypatch)
@@ -209,9 +236,10 @@ class TestSweep:
     def test_byte_identical_across_worker_counts(self):
         kw = {"trials": 40, "n_grid": [12, 15], "certificates": ["triple", "pair"]}
         serial = sweep(small_config(**kw))
-        parallel = sweep(small_config(workers=2, **kw))
-        assert serial.records_csv() == parallel.records_csv()
-        assert {r.certificate for r in parallel.records()} >= {"bad-triple", ""}
+        for workers in (2, 3):
+            parallel = sweep(small_config(workers=workers, **kw))
+            assert serial.records_csv() == parallel.records_csv()
+            assert {r.certificate for r in parallel.records()} >= {"bad-triple", ""}
 
     # sha256 of records_csv() for two small sweeps, recorded before the
     # sampler was rewritten on getrandbits; the sigma grids cover both of
@@ -252,6 +280,44 @@ class TestSweep:
         assert built == [12, 15]
         assert len(result.records()) == 2 * 3 * 20
         assert all(r.status == "ok" for r in result.records())
+
+    def test_one_pool_per_n(self, monkeypatch):
+        sizes = count_pools(monkeypatch)
+        result = sweep(small_config(n_grid=[12, 15], workers=2))
+        assert sizes == [2, 2]
+        assert len(result.points) == 6
+
+    def test_component_bfs_runs_once_per_n_in_the_parent(self, monkeypatch, tmp_path):
+        """The parent computes each n's components before the fork; the
+        workers inherit them.  Every run appends its pid to a file."""
+        log = tmp_path / "bfs-pids"
+        real_components_of = graphs.components_of
+
+        def logging_components_of(adjacency, vertices, n):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real_components_of(adjacency, vertices, n)
+
+        monkeypatch.setattr(graphs, "components_of", logging_components_of)
+        sweep(small_config(n_grid=[12, 15], workers=2))
+        assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+
+    def test_no_worker_outlives_a_sweep(self, monkeypatch):
+        sweep(small_config(n_grid=[12, 15], workers=2))
+        assert multiprocessing.active_children() == []
+        real_wilson = harness.wilson_interval
+        calls = []
+
+        def failing_second_cell(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return real_wilson(*args)
+
+        monkeypatch.setattr(harness, "wilson_interval", failing_second_cell)
+        with pytest.raises(RuntimeError, match="injected"):
+            sweep(small_config(workers=2))
+        assert multiprocessing.active_children() == []
 
     def test_records_sorted_and_versioned(self, tmp_path):
         result = sweep(small_config(trials=10))
@@ -363,10 +429,29 @@ class TestConfigSchema:
         {"timeout_seconds": "5"},
         {"timeout_seconds": -1},
         {"timeout_seconds": True},
+        {"trials": 2.9},  # the schema's integers are not truncated
+        {"trials": "3"},
+        {"n_grid": [10.5]},
+        {"n_grid": ["12"]},
+        {"n_grid": 12},
+        {"base_seed": 1.5},
+        {"base_seed": "7"},
+        {"workers": True},
+        {"workers": "2"},
+        {"workers": 2.5},
     ])
     def test_rejected_up_front(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+    def test_integer_keys_named_and_integral_numbers_kept(self):
+        with pytest.raises(ConfigError, match="trials"):
+            small_config(trials=2.9)
+        with pytest.raises(ConfigError, match="n_grid"):
+            small_config(n_grid=[10.5])
+        config = small_config(trials=3.0, n_grid=[12.0], workers=2.0)
+        assert (config.trials, config.n_grid, config.workers) == (3, (12,), 2)
+        assert all(type(v) is int for v in (config.trials, *config.n_grid, config.workers))
 
     def test_parts_needs_two_entries(self):
         """The schema's "minItems": 2 on parts: one part is rejected by
