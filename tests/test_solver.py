@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import tracemalloc
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from listcolor.corpus import corpus_assignments, default_combos, small_connected
 from listcolor.errors import CertificateError, GuardExceededError
 from listcolor.graphs import (
     Graph,
+    clique_union,
     complete_multipartite,
     connected_components,
     induced_subgraph,
@@ -84,6 +87,111 @@ class TestIterativeSearch:
             for t in range(4)
         ]
         assert nodes == [757, 739, 760, 751]
+
+    def test_memory_does_not_grow_with_sigma(self):
+        # the search state is indexed by list positions, never by color value
+        g = power_cycle(20000, 2)
+        peaks = []
+        for sigma in (50, 10**9):
+            a = sample_assignment(g, 3, sigma, SeedSpec(3, 0))
+            tracemalloc.start()
+            try:
+                assert solve(g, a).colorable
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+
+def witness_digest(results):
+    """sha256 over each result's sorted witness items (None if uncolorable)."""
+    lines = [repr(sorted(r.coloring.items()) if r.colorable else None) for r in results]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestSearchIsPinned:
+    """Every SolveStats count and every witness of fixed seeded instances,
+    so a change to the search's bookkeeping cannot change the search."""
+
+    # (graph, k, sigma, base seed, trials) -> SolveStats as (nodes,
+    # propagations, backtracks, max_depth, dp_states) per trial, then the
+    # witness digest; a cell's lists come from derive_seed(base, n, k, sigma)
+    CELLS = {
+        "pc800k3s8": (
+            lambda: power_cycle(800, 3), 3, 8, 10000, range(4),
+            [(604, 196, 0, 604, 0), (627, 178, 2, 627, 0),
+             (600, 225, 11, 596, 0), (627, 175, 1, 627, 0)],
+            "e3989dad27a5d195550827accd0929c115ba46d35bc4d36f88e27839ab8dd2a1",
+        ),
+        "pc800k3s12": (
+            lambda: power_cycle(800, 3), 3, 12, 10000, range(4),
+            [(757, 43, 0, 757, 0), (739, 61, 0, 739, 0),
+             (760, 40, 0, 760, 0), (751, 49, 0, 751, 0)],
+            "fc2dbba5826407fade16b7f4cbfc14d850a2cf5bee816db6189389955d554fd2",
+        ),
+        "pc800k3s20": (
+            lambda: power_cycle(800, 3), 3, 20, 10000, range(4),
+            [(792, 8, 0, 792, 0), (794, 6, 0, 794, 0),
+             (791, 9, 0, 791, 0), (793, 7, 0, 793, 0)],
+            "a3436dd963570799eedc2d0e57ed7ee13ff72774f744b86111ffd1a0647463d6",
+        ),
+        "pc800k3s8-dp": (
+            lambda: power_cycle(800, 3), 3, 8, 100004, [3],
+            [(4201, 11183, 8656, 110, 31127)],
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        ),
+        "pc200k2s8": (
+            lambda: power_cycle(200, 2), 2, 8, 0, range(6),
+            [(1801, 4194, 3564, 28, 509), (100, 128, 5, 100, 0), (81, 121, 1, 81, 0),
+             (94, 106, 0, 94, 0), (101, 102, 1, 101, 0), (1801, 3897, 3493, 61, 926)],
+            "0af0151eb0370ad2a8338ac73550169eb76fe1fc469acc93e97dbbdb62ed42a7",
+        ),
+        "pc200k2s10": (
+            lambda: power_cycle(200, 2), 2, 10, 0, range(6),
+            [(119, 81, 0, 119, 0), (123, 77, 0, 123, 0), (122, 82, 2, 122, 0),
+             (113, 87, 0, 113, 0), (120, 83, 1, 120, 0), (1801, 4906, 3402, 104, 2028)],
+            "3a9e611d7c49e2f512c0d2e9046f5989dcd943ea350cc47513fa5e5d4011d783",
+        ),
+        "cu20000k2s24": (
+            lambda: clique_union(20000, 4), 2, 24, 0, range(2),
+            [(16411, 3402, 21, 5, 0), (16569, 3457, 10, 5, 0)],
+            "559834b2ce37c81d02fa441605bbd1d74028e859fe93365359433a6565a12f74",
+        ),
+        "km555k3s4": (
+            lambda: complete_multipartite([5, 5, 5]), 3, 4, 0, range(8),
+            [(4, 11, 0, 4, 0), (3, 12, 0, 3, 0), (6, 49, 6, 4, 0), (6, 30, 3, 5, 0),
+             (7, 46, 6, 5, 0), (4, 39, 9, 2, 0), (10, 15, 1, 10, 0), (7, 49, 6, 5, 0)],
+            "2430524bcaeaea5b7417bd015fb67baa6bc6259f32931841074ad863cca92515",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CELLS))
+    def test_cell_stats_and_witnesses(self, name):
+        build, k, sigma, base_seed, trials, stats, digest = self.CELLS[name]
+        g = build()
+        point_seed = derive_seed(base_seed, g.n, k, sigma)
+        results = [
+            solve(g, sample_assignment(g, k, sigma, SeedSpec(point_seed, t))) for t in trials
+        ]
+        assert [astuple(r.stats) for r in results] == stats
+        assert witness_digest(results) == digest
+
+    # 200 corpus instances: every 5th connected graph on at most 7 vertices,
+    # (k, sigma) cycling through default_combos(), lists at base seed 15.
+    # A line is "gi k sigma stats witness".
+    CORPUS_SHA256 = (200, "09aea7548d3979129907535a5653285d16999a0e4ae27b25a1ce64211d72f88e")
+
+    def test_corpus_stats_and_witnesses(self):
+        combos = default_combos()
+        lines = []
+        for gi, g in enumerate(small_connected_graphs(7)):
+            if gi % 5:
+                continue
+            k, sigma = combos[(gi // 5) % len(combos)]
+            r = solve(g, sample_assignment(g, k, sigma, SeedSpec(derive_seed(15, gi))))
+            lines.append(f"{gi} {k} {sigma} {astuple(r.stats)} {witness_digest([r])}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == self.CORPUS_SHA256
 
 
 def force_switch(mp):
