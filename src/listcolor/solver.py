@@ -14,6 +14,14 @@ would pick, and colors are tried in ascending order.  `SolveStats` counts
 search nodes, forced propagations, backtracks (tries undone after a
 failure) and the deepest frame stack.
 
+The search state is indexed by list positions, never by color values: a
+vertex's live colors are a bitmask whose bit i stands for the i-th color of
+its sorted list (so the lowest bit is the smallest color), with their count
+kept beside it; each frame keeps the mask of its untried positions, and the
+undo trail is a flat list of ints.  Memory therefore does not grow with
+sigma, and the vertex order, the color order and every count are those of
+the same search on sets of colors.
+
 The search has a fixed switch point against its heavy tail.  Once a
 component's search has spent more than 1000 + 4|C| nodes (a search that
 never backtracks uses at most |C|), the component's frontier width w is
@@ -191,20 +199,30 @@ def _frontier_dp(order, adjacency, assignment, stats, deadline) -> Coloring | No
 def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring | None:
     """A coloring of the component `comp` from its lists, or None; the
     neighbors of each vertex of comp are `adjacency[v]`."""
-    switch_at = stats.nodes + _SWITCH_BASE + _SWITCH_PER_VERTEX * len(comp)
-    live = {v: set(assignment[v]) for v in comp}
+    lists, k, n = assignment.lists, assignment.k, len(comp)
+    nodes, max_depth = stats.nodes, stats.max_depth
+    propagations = backtracks = 0
+    switch_at = nodes + _SWITCH_BASE + _SWITCH_PER_VERTEX * n
+    # live[v]: bit i set iff lists[v][i] is still live (lists are sorted, so
+    # the lowest bit is the smallest color); size[v] counts the set bits
+    live = dict.fromkeys(comp, (1 << k) - 1)
+    size = dict.fromkeys(comp, k)
     colors: Coloring = {}
-    # Lazy MRV heap: every uncolored vertex has an entry (len(live[u]), u);
+    # flat undo log: ~v for an assignment of v, then w, bit for each removal
+    # of position bit from live[w]
+    trail: list[int] = []
+    # Lazy MRV heap: every uncolored vertex has an entry (size[u], u);
     # entries of colored vertices or of stale sizes are skipped on pop.
     heap: list[tuple[int, int]] = []
 
     def fresh_heap():
-        entries = [(len(live[u]), u) for u in comp if u not in colors]
+        entries = [(size[u], u) for u in comp if u not in colors]
         heapify(entries)
         return entries
 
-    def assign_chain(v0, c0, trail) -> bool:
-        # Assign v0=c0, then chase forced singletons; trail records undo info.
+    def assign_chain(v0, c0) -> bool:
+        # Assign v0=c0, then chase forced singletons, logging undo info.
+        nonlocal propagations
         stack = [(v0, c0)]
         while stack:
             v, c = stack.pop()
@@ -213,85 +231,99 @@ def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring |
                     return False
                 continue
             colors[v] = c
-            trail.append((None, v, 0))
+            trail.append(~v)
             for w in adjacency[v]:
                 if w in colors:
                     if colors[w] == c:
                         return False
                     continue
-                bucket = live[w]
-                if c in bucket:
-                    bucket.remove(c)
-                    trail.append((bucket, w, c))
-                    remaining = len(bucket)
+                options = lists[w]
+                if c not in options:
+                    continue
+                bit = 1 << options.index(c)
+                mask = live[w]
+                if mask & bit:
+                    live[w] = mask = mask ^ bit
+                    trail.extend((w, bit))
+                    remaining = size[w] = size[w] - 1
                     if remaining == 0:
                         return False
                     if remaining == 1:
-                        stats.propagations += 1
-                        stack.append((w, next(iter(bucket))))
+                        propagations += 1
+                        stack.append((w, options[mask.bit_length() - 1]))
                     else:
                         heappush(heap, (remaining, w))
         return True
 
-    def undo(trail):
-        while trail:
-            bucket, v, c = trail.pop()
-            if bucket is None:
+    def undo(mark):
+        # roll the trail back to length mark
+        while len(trail) > mark:
+            x = trail.pop()
+            if x < 0:
+                v = ~x
                 del colors[v]
-                bucket = live[v]
+                heappush(heap, (size[v], v))
             else:
-                bucket.add(c)
-            heappush(heap, (len(bucket), v))
+                v = trail.pop()
+                live[v] |= x
+                s = size[v] = size[v] + 1
+                heappush(heap, (s, v))
 
-    # settle pre-forced singletons before searching
-    trail0 = []
-    for v in comp:
-        if len(live[v]) == 1 and v not in colors:
-            stats.propagations += 1
-            if not assign_chain(v, next(iter(live[v])), trail0):
-                return None
-    heap = fresh_heap()
+    try:
+        # settle pre-forced singletons before searching
+        for v in comp:
+            if size[v] == 1 and v not in colors:
+                propagations += 1
+                if not assign_chain(v, lists[v][live[v].bit_length() - 1]):
+                    return None
+        heap = fresh_heap()
 
-    # One frame per branching vertex: [vertex, its sorted live colors, index
-    # of the next color to try, trail of the current try].  The next vertex
-    # is the uncolored one minimizing (len(live[u]), u), colors are tried in
-    # ascending order: the order of a chronological recursive search.
-    frames: list[list] = []
-    descend = True
-    while True:
-        if descend:
-            if len(colors) == len(comp):
-                return dict(colors)
-            if len(heap) > 2 * len(comp):
-                # stale entries pile up in long searches; keep memory flat
-                heap = fresh_heap()
-            while True:
-                size, v = heappop(heap)
-                if v not in colors and len(live[v]) == size:
-                    break
-            stats.nodes += 1
-            _check_deadline(deadline)
-            if stats.nodes > switch_at:
-                switch_at = float("inf")  # the width is computed once
-                order = sorted(comp)
-                if assignment.k ** _frontier_width(order, adjacency) <= _DP_MAX_STATES:
-                    return _frontier_dp(order, adjacency, assignment, stats, deadline)
-            frames.append([v, sorted(live[v]), 0, None])
-            stats.max_depth = max(stats.max_depth, len(frames))
-        frame = frames[-1]
-        v, options, i, trail = frame
-        if trail is not None:
-            undo(trail)
-            stats.backtracks += 1
-        if i == len(options):
-            frames.pop()
-            if not frames:
-                return None
-            descend = False
-            continue
-        frame[2] = i + 1
-        frame[3] = trail = []
-        descend = assign_chain(v, options[i], trail)
+        # One frame per branching vertex: [vertex, mask of its untried live
+        # positions, trail length before its tries].  The next vertex is the
+        # uncolored one minimizing (size[u], u), colors are tried in
+        # ascending order: the order of a chronological recursive search.
+        frames: list[list[int]] = []
+        descend = True
+        while True:
+            if descend:
+                if len(colors) == n:
+                    return colors
+                if len(heap) > 2 * n:
+                    # stale entries pile up in long searches; keep memory flat
+                    heap = fresh_heap()
+                while True:
+                    s, v = heappop(heap)
+                    if v not in colors and size[v] == s:
+                        break
+                nodes += 1
+                _check_deadline(deadline)
+                if nodes > switch_at:
+                    switch_at = float("inf")  # the width is computed once
+                    order = sorted(comp)
+                    if k ** _frontier_width(order, adjacency) <= _DP_MAX_STATES:
+                        return _frontier_dp(order, adjacency, assignment, stats, deadline)
+                frame = [v, live[v], len(trail)]
+                frames.append(frame)
+                if len(frames) > max_depth:
+                    max_depth = len(frames)
+            else:
+                frame = frames[-1]
+                undo(frame[2])
+                backtracks += 1
+            v, untried, _ = frame
+            if not untried:
+                frames.pop()
+                if not frames:
+                    return None
+                descend = False
+                continue
+            bit = untried & -untried
+            frame[1] = untried ^ bit
+            descend = assign_chain(v, lists[v][bit.bit_length() - 1])
+    finally:
+        stats.nodes, stats.max_depth = nodes, max_depth
+        stats.propagations += propagations
+        stats.backtracks += backtracks
 
 
 def solve(g: Graph, assignment: ListAssignment, deadline: float | None = None) -> SolveResult:

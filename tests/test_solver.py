@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from listcolor import solver
 from listcolor.certificates import find_bad_triple, is_bad_triple
 from listcolor.corpus import corpus_assignments, default_combos, small_connected_graphs
-from listcolor.errors import CertificateError, GuardExceededError
+from listcolor.errors import CertificateError, GuardExceededError, SolveTimeout
 from listcolor.graphs import (
     Graph,
     clique_union,
@@ -101,6 +101,14 @@ class TestIterativeSearch:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_counts_reached_survive_a_timeout(self):
+        g = power_cycle(800, 3)
+        a = sample_assignment(g, 3, 12, SeedSpec(derive_seed(10000, 800, 3, 12), 0))
+        stats = solver.SolveStats(nodes=5, max_depth=7)
+        with pytest.raises(SolveTimeout):
+            solver._solve_component(range(g.n), g.adjacency, a, stats, deadline=0.0)
+        assert (stats.nodes, stats.max_depth) == (6, 7)
 
 
 def witness_digest(results):
