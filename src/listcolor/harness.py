@@ -419,6 +419,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad config: {exc}") from None
         if not n_grid:
             raise ConfigError("n_grid must be non-empty")
+        if min(n_grid) < 1:
+            raise ConfigError(f"n_grid entries must be >= 1, got {list(n_grid)}")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
         known_params = {key for name in FAMILIES for key in _family_params(name)}

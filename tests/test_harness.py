@@ -434,6 +434,8 @@ class TestConfigSchema:
         {"n_grid": [10.5]},
         {"n_grid": ["12"]},
         {"n_grid": 12},
+        {"n_grid": [0]},  # the schema's "minimum": 1
+        {"n_grid": [-3]},
         {"base_seed": 1.5},
         {"base_seed": "7"},
         {"workers": True},
@@ -449,6 +451,8 @@ class TestConfigSchema:
             small_config(trials=2.9)
         with pytest.raises(ConfigError, match="n_grid"):
             small_config(n_grid=[10.5])
+        with pytest.raises(ConfigError, match="n_grid"):
+            small_config(n_grid=[12, 0])
         config = small_config(trials=3.0, n_grid=[12.0], workers=2.0)
         assert (config.trials, config.n_grid, config.workers) == (3, (12,), 2)
         assert all(type(v) is int for v in (config.trials, *config.n_grid, config.workers))
