@@ -45,7 +45,7 @@ def _load_graph(path: str):
 
 
 def _cmd_gen(args) -> int:
-    generator, arg_names = FAMILIES[args.family.replace("-", "_")]
+    generator, arg_names, _ = FAMILIES[args.family.replace("-", "_")]
     values = [getattr(args, name) for name in arg_names]
     _require(None not in values,
              f"{args.family} needs " + " and ".join(f"--{name}" for name in arg_names))

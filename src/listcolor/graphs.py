@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import GraphParseError, InvalidParameterError
 
@@ -99,7 +99,28 @@ def vertex_set(ids: Iterable[int], n: int | None = None) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# generators
+# generators, each behind a check of its arguments that builds nothing
+
+
+def _check_power_cycle(n: int, r: int) -> None:
+    if n < 3:
+        raise InvalidParameterError("power cycle needs n >= 3")
+    if not 1 <= r or not r < n / 2:
+        raise InvalidParameterError(f"power cycle needs 1 <= r < n/2, got r={r}, n={n}")
+
+
+def _check_clique_union(n: int, delta: int) -> None:
+    if delta + 1 < 2:
+        raise InvalidParameterError("clique union needs delta >= 1")
+    if n < delta + 1:
+        raise InvalidParameterError(f"clique union needs n >= delta+1, got n={n}, delta={delta}")
+
+
+def _check_complete_multipartite(sizes: list[int]) -> None:
+    if len(sizes) < 2:
+        raise InvalidParameterError("complete multipartite needs at least 2 parts")
+    if any(s < 1 for s in sizes):
+        raise InvalidParameterError("every part needs size >= 1")
 
 
 def power_cycle(n: int, r: int) -> Graph:
@@ -108,10 +129,7 @@ def power_cycle(n: int, r: int) -> Graph:
     2r-regular.  Rejects r >= n/2, where the construction degenerates into a
     near-complete graph outside the modeled range.
     """
-    if n < 3:
-        raise InvalidParameterError("power cycle needs n >= 3")
-    if not 1 <= r or not r < n / 2:
-        raise InvalidParameterError(f"power cycle needs 1 <= r < n/2, got r={r}, n={n}")
+    _check_power_cycle(n, r)
     ids = tuple(range(n))
     return Graph._trusted(n, tuple(
         tuple(sorted(ids[(i + d) % n] for d in range(-r, r + 1) if d)) for i in ids
@@ -124,10 +142,7 @@ def clique_union(n: int, delta: int) -> Graph:
     Exactly n vertices; the remainder vertices are kept as isolated vertices,
     not dropped.
     """
-    if delta + 1 < 2:
-        raise InvalidParameterError("clique union needs delta >= 1")
-    if n < delta + 1:
-        raise InvalidParameterError(f"clique union needs n >= delta+1, got n={n}, delta={delta}")
+    _check_clique_union(n, delta)
     block = delta + 1
     ids = tuple(range(n))
     cliques = (ids[base:base + block] for base in range(0, n - n % block, block))
@@ -138,10 +153,7 @@ def clique_union(n: int, delta: int) -> Graph:
 def complete_multipartite(part_sizes: Iterable[int]) -> Graph:
     """Edge iff endpoints lie in different parts; parts are consecutive id ranges."""
     sizes = list(part_sizes)
-    if len(sizes) < 2:
-        raise InvalidParameterError("complete multipartite needs at least 2 parts")
-    if any(s < 1 for s in sizes):
-        raise InvalidParameterError("every part needs size >= 1")
+    _check_complete_multipartite(sizes)
     ids = tuple(range(sum(sizes)))
     adjacency = []
     for s in sizes:
@@ -160,14 +172,25 @@ def petersen() -> Graph:
     return Graph(10, edges)
 
 
-# family name (as in sweep configs; the CLI spells it with hyphens) ->
-# (generator, the names of its positional arguments).  `parts` is the list of
-# part sizes; every other argument is an integer.
+class Family(NamedTuple):
+    """A graph family: its generator, the names of the generator's positional
+    arguments (`parts` is the list of part sizes, every other argument an
+    integer), and a check that raises InvalidParameterError on the same
+    arguments as the generator does, without building the graph."""
+
+    generator: Callable[..., Graph]
+    arg_names: tuple[str, ...]
+    check_args: Callable[..., None]
+
+
+# family name, as in sweep configs; the CLI spells it with hyphens
 FAMILIES = {
-    "clique_union": (clique_union, ("n", "delta")),
-    "power_cycle": (power_cycle, ("n", "r")),
-    "complete_multipartite": (complete_multipartite, ("parts",)),
-    "petersen": (petersen, ()),
+    "clique_union": Family(clique_union, ("n", "delta"), _check_clique_union),
+    "power_cycle": Family(power_cycle, ("n", "r"), _check_power_cycle),
+    "complete_multipartite": Family(
+        complete_multipartite, ("parts",), _check_complete_multipartite
+    ),
+    "petersen": Family(petersen, (), lambda: None),
 }
 
 

@@ -85,25 +85,32 @@ class GraphFamily:
     params: dict
 
     def build(self, n: int) -> Graph:
+        return FAMILIES[self.name].generator(*self._args(n))
+
+    def check(self, n: int) -> None:
+        """Raise InvalidParameterError where build(n) would, building nothing."""
+        FAMILIES[self.name].check_args(*self._args(n))
+
+    def _args(self, n: int) -> list:
+        """The generator's arguments at n, scaling expressions evaluated."""
         if self.name not in FAMILIES:
             raise ConfigError(f"unknown graph family {self.name!r}")
 
         def as_int(raw):
             return raw.evaluate_int(n) if isinstance(raw, ScalingExpr) else int(raw)
 
-        generator, arg_names = FAMILIES[self.name]
         args = []
-        for key in arg_names:
+        for key in FAMILIES[self.name].arg_names:
             raw = n if key == "n" else self.params.get(key)
             if raw is None or raw == []:
                 raise ConfigError(f"family {self.name!r} needs parameter {key!r}")
             args.append([as_int(p) for p in raw] if key == "parts" else as_int(raw))
-        return generator(*args)
+        return args
 
 
 def _family_params(name: str) -> list[str]:
     """The family_params keys a family needs: its generator's arguments but n."""
-    return [key for key in FAMILIES[name][1] if key != "n"]
+    return [key for key in FAMILIES[name].arg_names if key != "n"]
 
 
 def _config_int(raw, key: str) -> int:
@@ -469,9 +476,14 @@ class ExperimentConfig:
             return cls.from_dict(json.load(handle))
 
     def grid(self) -> list[tuple[int, int, int]]:
-        """Evaluated (n, k, sigma) cells, validating positivity and k <= sigma."""
+        """Evaluated (n, k, sigma) cells, validating positivity, k <= sigma and
+        that the family can be built at every n."""
         cells = []
         for n in self.n_grid:
+            try:
+                self.family.check(n)
+            except InvalidParameterError as exc:
+                raise ConfigError(f"n_grid entry {n}: {exc}") from None
             k = self.k_expr.evaluate_int(n)
             if k < 1:
                 raise ConfigError(f"k({n}) = {k} is not positive")

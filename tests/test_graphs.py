@@ -210,9 +210,9 @@ FAMILY_GRIDS = {
 
 def family_graphs():
     assert FAMILY_GRIDS.keys() == FAMILIES.keys()
-    for name, (generator, _) in FAMILIES.items():
+    for name, family in FAMILIES.items():
         for args in FAMILY_GRIDS[name]:
-            yield name, args, generator(*args)
+            yield name, args, family.generator(*args)
 
 
 class TestTrustedConstruction:

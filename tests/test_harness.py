@@ -383,7 +383,7 @@ class TestConfigSchema:
 
     def test_family_names_and_params_match(self):
         assert SCHEMA["properties"]["family"]["enum"] == list(FAMILIES)
-        params = {key for _, keys in FAMILIES.values() for key in keys} - {"n"}
+        params = {key for family in FAMILIES.values() for key in family.arg_names} - {"n"}
         assert set(SCHEMA["properties"]["family_params"]["properties"]) == params
 
     def test_certificate_kinds_match(self):
@@ -456,6 +456,22 @@ class TestConfigSchema:
         config = small_config(trials=3.0, n_grid=[12.0], workers=2.0)
         assert (config.trials, config.n_grid, config.workers) == (3, (12,), 2)
         assert all(type(v) is int for v in (config.trials, *config.n_grid, config.workers))
+
+    @pytest.mark.parametrize("family, family_params, n_grid", [
+        ("clique_union", {"delta": "2"}, [12, 2]),
+        ("power_cycle", {"r": "3"}, [20, 6]),
+        ("complete_multipartite", {"parts": ["n - 10", "3"]}, [12, 10]),
+    ])
+    def test_n_grid_the_family_cannot_build(self, monkeypatch, family, family_params, n_grid):
+        """Rejected by from_dict through the family's argument check, not by
+        the sweep once it reaches that n; no graph is built either way."""
+        def refuse_to_build(*args):
+            raise AssertionError(f"from_dict built {family}{args}")
+
+        monkeypatch.setitem(FAMILIES, family, FAMILIES[family]._replace(generator=refuse_to_build))
+        small_config(family=family, family_params=family_params, n_grid=n_grid[:1])
+        with pytest.raises(ConfigError, match=f"n_grid entry {n_grid[1]}"):
+            small_config(family=family, family_params=family_params, n_grid=n_grid)
 
     def test_parts_needs_two_entries(self):
         """The schema's "minItems": 2 on parts: one part is rejected by
