@@ -1,18 +1,25 @@
 """Canonical small-graph corpus for oracle suites.
 
 The corpus is the classic graph atlas enumeration (all graphs on up to seven
-vertices in their published order), filtered to connected graphs.  That gives
-a fixed, reproducible "canonical enumeration": 996 connected graphs with at
-most 7 vertices, 143 with at most 6.
+vertices in their published order, Read & Wilson, An Atlas of Graphs),
+filtered to connected graphs.  That gives a fixed, reproducible "canonical
+enumeration": 996 connected graphs with at most 7 vertices, 143 with at most 6.
+It is read from atlas7.txt beside this module, one graph per line in atlas
+order: the vertex count, then each edge u < v as two digits (`4 01 02 03`).
+The file was written from networkx's graph_atlas_g, and a test rebuilds it
+from there and compares.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from pathlib import Path
 
 from .errors import InvalidParameterError
 from .graphs import Graph
 from .lists import ListAssignment, SeedSpec, derive_seed, sample_assignment
+
+_ATLAS_FILE = Path(__file__).with_name("atlas7.txt")
 
 
 @lru_cache(maxsize=None)
@@ -21,14 +28,13 @@ def small_connected_graphs(max_vertices: int = 7) -> tuple[Graph, ...]:
     isomorphism class, in atlas order."""
     if not 1 <= max_vertices <= 7:
         raise InvalidParameterError("the atlas corpus covers 1..7 vertices")
-    import networkx as nx
-    from networkx.generators.atlas import graph_atlas_g
-
     out = []
-    for atlas_graph in graph_atlas_g():
-        n = atlas_graph.number_of_nodes()
-        if 1 <= n <= max_vertices and nx.is_connected(atlas_graph):
-            out.append(Graph(n, list(atlas_graph.edges())))
+    with open(_ATLAS_FILE, encoding="ascii") as lines:
+        for line in lines:
+            n, *edges = line.split()
+            if int(n) > max_vertices:
+                break
+            out.append(Graph(int(n), [(int(e[0]), int(e[1])) for e in edges]))
     return tuple(out)
 
 
