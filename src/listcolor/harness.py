@@ -483,7 +483,9 @@ class ExperimentConfig:
             try:
                 self.family.check(n)
             except InvalidParameterError as exc:
-                raise ConfigError(f"n_grid entry {n}: {exc}") from None
+                raise ConfigError(
+                    f"family {self.family.name!r} cannot be built at n_grid entry {n}: {exc}"
+                ) from None
             k = self.k_expr.evaluate_int(n)
             if k < 1:
                 raise ConfigError(f"k({n}) = {k} is not positive")
