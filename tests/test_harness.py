@@ -263,6 +263,28 @@ class TestSweep:
         result = sweep(ExperimentConfig.from_dict(self.GOLDEN_RECORDS[digest]))
         assert hashlib.sha256(result.records_csv().encode()).hexdigest() == digest
 
+    # Per-trial certificate labels, one letter per record in records order,
+    # of two sweeps that reach the labels the digests above do not: a k=2
+    # sweep asking for pairs, and cycles asking for trees (C3 has girth 3,
+    # so no tree kind applies there and its uncolorable trials read "none").
+    LABEL_CODES = {"": ".", "none": "n", "2bad-pair": "p", "tree-bad": "t",
+                   "bad-triple": "b", "guard-exceeded": "g"}
+    GOLDEN_LABELS = (
+        ({"family": "clique_union", "family_params": {"delta": "2"}, "n_grid": [9], "k": "2",
+          "sigma_grid": ["2", "3", "4"], "trials": 12, "base_seed": 31,
+          "timeout_seconds": None, "certificates": ["pair"]},
+         "pppppppppppp..p.......pp............"),
+        ({"family": "power_cycle", "family_params": {"r": "1"}, "n_grid": [3, 7, 8], "k": "2",
+          "sigma_grid": ["2", "3"], "trials": 8, "base_seed": 31,
+          "timeout_seconds": None, "certificates": ["tree"]},
+         "nnnnnnnn........tttttttt........................"),
+    )
+
+    @pytest.mark.parametrize("raw, labels", GOLDEN_LABELS, ids=["pair", "tree"])
+    def test_certificate_labels_are_pinned(self, raw, labels):
+        result = sweep(ExperimentConfig.from_dict(raw))
+        assert "".join(self.LABEL_CODES[r.certificate] for r in result.records()) == labels
+
     def test_pool_ships_no_graph_and_builds_each_n_once(self, monkeypatch):
         def no_pickling(self):
             raise AssertionError("a Graph was pickled")
