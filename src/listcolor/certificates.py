@@ -14,7 +14,7 @@ Every checker is a pure function of its inputs; every finder returns a
 certificate that re-validates through the matching checker.
 
 CERTIFICATE_KINDS is the one registry of the three families, with the rule
-for which instances each can certify; `find_certificate` dispatches on it.
+for which instances each can certify; `certify` is the one search over it.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CertificateError, GuardExceededError, InvalidParameterError
 from .graphs import INFINITE_GIRTH, Graph, girth, vertex_set
 from .lists import ListAssignment
-from .solver import Coloring, extract_critical, require_lists_for, solve  # noqa: F401 -- bench/spans.py wraps solve here
+from .solver import Coloring, SolveResult, extract_critical, require_lists_for
+from .solver import solve  # noqa: F401 -- bench/spans.py wraps solve here
 
 CYCLE = "cycle"
 LOLLIPOP = "lollipop"
@@ -316,17 +317,18 @@ def count_proper_triples_by_m(g: Graph, max_m: int, max_count: int = 10**7) -> d
 
 
 def find_bad_triple(
-    g: Graph, assignment: ListAssignment, max_core: int = 12
+    g: Graph, assignment: ListAssignment, solved: SolveResult | None = None, max_core: int = 12
 ) -> ProperTriple | None:
     """A bad proper triple of an uncolorable instance, or None when the
     instance is colorable.
 
-    The search extracts a connected critical core first; the alternating
-    characterization guarantees every root of the core admits a qualifying
-    coloring, so the certificate exists whenever the instance is uncolorable.
+    The search extracts a connected critical core first, passing `solved`
+    on; the alternating characterization guarantees every root of the core
+    admits a qualifying coloring, so the certificate exists whenever the
+    instance is uncolorable.
     """
     try:
-        vs, _ = extract_critical(g, assignment)
+        vs, _ = extract_critical(g, assignment, solved)
     except CertificateError:  # no component is uncolorable
         return None
     if len(vs) > max_core:
@@ -893,9 +895,9 @@ def find_tree_bad(
 
 @dataclass(frozen=True)
 class CertificateKind:
-    """One certificate family: `find(g, assignment)` gives a `cert_class`
-    instance or None; `check(g, assignment, certificate)` gives (ok,
-    witness coloring or None)."""
+    """One certificate family: `find(g, assignment, solved)` gives a
+    `cert_class` instance or None; `check(g, assignment, certificate)` gives
+    (ok, witness coloring or None)."""
 
     name: str  # in sweep configs and `listcolor certify --kind`
     label: str  # the JSON "kind" and the records.csv `certificate` value
@@ -922,26 +924,38 @@ class CertificateKind:
 # the finders and checkers up when called, so a replaced module function is
 # the one that runs.
 CERTIFICATE_KINDS = {kind.name: kind for kind in (
-    CertificateKind("triple", "bad-triple", ProperTriple, lambda g, a: find_bad_triple(g, a),
+    CertificateKind("triple", "bad-triple", ProperTriple, lambda g, a, s: find_bad_triple(g, a, s),
                     lambda g, a, cert: is_bad_triple(g, a, cert)),
     # a pair's witness is two color chains, not a coloring: the JSON omits it
-    CertificateKind("pair", "2bad-pair", ProperPair, lambda g, a: find_2bad_pair(g, a),
+    CertificateKind("pair", "2bad-pair", ProperPair, lambda g, a, _: find_2bad_pair(g, a),
                     lambda g, a, cert: (is_2bad_pair(g, a, cert)[0], None)),
-    CertificateKind("tree", "tree-bad", RootedProperTree, lambda g, a: find_tree_bad(g, a),
+    CertificateKind("tree", "tree-bad", RootedProperTree, lambda g, a, _: find_tree_bad(g, a),
                     lambda g, a, cert: is_tree_bad(cert, a)),
 )}
 
 
-def find_certificate(g: Graph, assignment: ListAssignment, kind: str):
-    """(certificate, ok, witness) from the `kind` finder and its checker, or
-    None when the finder finds nothing.  Callers skip kinds with an
-    `obstacle` first."""
-    entry = CERTIFICATE_KINDS[kind]
-    cert = entry.find(g, assignment)
-    if cert is None:
-        return None
-    ok, witness = entry.check(g, assignment, cert)
-    return cert, ok, witness
+def certify(
+    g: Graph, assignment: ListAssignment, kinds: Iterable[str], solved: SolveResult
+) -> tuple[CertificateKind, object] | None:
+    """(kind, unchecked certificate) from the first of `kinds` (names, in
+    order) that finds one, skipping kinds with an `obstacle`; `solved` is
+    `solve(g, assignment)`, passed to the finders.  None when nothing is
+    found; if a finder hit its guard, the first GuardExceededError instead."""
+    guard = None
+    for name in kinds:
+        kind = CERTIFICATE_KINDS[name]
+        if kind.obstacle(assignment.k, g) is not None:
+            continue
+        try:
+            cert = kind.find(g, assignment, solved)
+        except GuardExceededError as exc:
+            guard = guard or exc
+            continue
+        if cert is not None:
+            return kind, cert
+    if guard is not None:
+        raise guard
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import bounds, certificates as certs
-from .errors import GuardExceededError, ListColorError
+from .errors import ListColorError
 from .graphs import FAMILIES, read_graph, write_graph
 from .harness import CorpusSpec, ExperimentConfig, sweep, verify_lemmas
 from .lists import SeedSpec, read_lists, sample_assignment, write_lists
@@ -79,28 +79,21 @@ def _cmd_certify(args) -> int:
     g = _load_graph(args.graph)
     with open(args.lists, encoding="utf-8") as handle:
         assignment = read_lists(handle.read(), g)
-    if solve(g, assignment).colorable:
+    kinds = certs.CERTIFICATE_KINDS if args.kind == "auto" else (args.kind,)
+    if args.kind != "auto":  # a named kind that cannot apply is a usage error
+        reason = certs.CERTIFICATE_KINDS[args.kind].obstacle(assignment.k, g)
+        _require(reason is None, reason)
+    solved = solve(g, assignment)
+    if solved.colorable:
         print(json.dumps({"kind": None, "colorable": True}))
         return 0
-    kinds = certs.CERTIFICATE_KINDS if args.kind == "auto" else (args.kind,)
-    guard = None  # the first guard a finder hit; raised only if no kind certifies
-    for name in kinds:
-        reason = certs.CERTIFICATE_KINDS[name].obstacle(assignment.k, g)
-        if reason is not None:
-            _require(args.kind == "auto", reason)
-            continue
-        try:
-            found = certs.find_certificate(g, assignment, name)
-        except GuardExceededError as exc:
-            guard = guard or exc
-            continue
-        if found is not None:
-            cert, _, witness = found
-            print(json.dumps(certs.certificate_to_json(cert, witness), sort_keys=True))
-            return 0
-    if guard is not None:
-        raise guard
-    print(json.dumps({"kind": None, "colorable": False, "note": "no certificate found"}))
+    found = certs.certify(g, assignment, kinds, solved)  # a guard exits 1
+    if found is None:
+        print(json.dumps({"kind": None, "colorable": False, "note": "no certificate found"}))
+        return 0
+    kind, cert = found
+    _, witness = kind.check(g, assignment, cert)
+    print(json.dumps(certs.certificate_to_json(cert, witness), sort_keys=True))
     return 0
 
 
@@ -192,6 +185,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    _require(args.per_graph >= 1, "--per-graph must be at least 1")
     spec = CorpusSpec(
         max_vertices=args.max_vertices,
         assignments_per_graph=args.per_graph,

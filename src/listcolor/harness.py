@@ -25,8 +25,9 @@ so records.csv keeps its stream.  A trial that raises an unexpected
 exception is recorded with status "error" instead of ending the sweep.
 
 Graph families and certificate kinds come from one registry each,
-graphs.FAMILIES and certificates.CERTIFICATE_KINDS; a trial tries only the
-requested kinds whose `obstacle` is None for its k and graph.
+graphs.FAMILIES and certificates.CERTIFICATE_KINDS.  Trials and the lemma
+suites solve each instance once and hand the result to `certify`; a trial
+records the label it finds, unchecked, and the suites check each one.
 """
 
 from __future__ import annotations
@@ -228,23 +229,6 @@ def _check_run_args(timeout_seconds, certificate_kinds, workers, error) -> None:
         raise error(f"workers must be an integer >= 1, got {workers!r}")
 
 
-def _detect_certificate(g, assignment, kinds) -> str:
-    """Label of the first certificate found, trying the applicable `kinds`
-    in order; when none is found, "guard-exceeded" if a finder hit its
-    guard, else "none"."""
-    guarded = False
-    for name in kinds:
-        kind = certs.CERTIFICATE_KINDS[name]
-        if kind.obstacle(assignment.k, g) is not None:
-            continue
-        try:
-            if kind.find(g, assignment) is not None:
-                return kind.label
-        except GuardExceededError:
-            guarded = True
-    return "guard-exceeded" if guarded else "none"
-
-
 def _run_trial(g: Graph, job: tuple) -> TrialRecord:
     """One seeded trial on `g`.  `wall_micros` times the solve alone."""
     n, k, sigma, trial_index, point_seed, timeout_s, cert_kinds = job
@@ -264,7 +248,11 @@ def _run_trial(g: Graph, job: tuple) -> TrialRecord:
         wall = int((time.monotonic() - start) * 1e6)
         certificate = ""
         if not result.colorable and cert_kinds:
-            certificate = _detect_certificate(g, assignment, cert_kinds)
+            try:
+                found = certs.certify(g, assignment, cert_kinds, result)
+                certificate = "none" if found is None else found[0].label
+            except GuardExceededError:
+                certificate = "guard-exceeded"
     except SolveTimeout:
         return unfinished("timeout")
     except Exception as exc:  # one bad trial must not lose the sweep
@@ -649,14 +637,16 @@ class LemmaReport:
 def verify_lemmas(spec: CorpusSpec | None = None) -> LemmaReport:
     """Run the three certificate oracle suites over the canonical corpus.
 
-    For every uncolorable sampled instance and every certificate kind whose
-    `obstacle` is None (proper triples always; pairs at k=2; rooted proper
-    trees at k >= 2 and girth above three), the finder must find a bad one
-    and it must re-validate.  Counterexamples (there should be
+    For every uncolorable sampled instance (solved once) and every kind
+    whose `obstacle` is None (proper triples always; pairs at k=2; rooted
+    proper trees at k >= 2 and girth above three), `certify` must find a
+    bad one and it must re-validate.  Counterexamples (there should be
     none; these are proved implications) are returned as report content,
     not raised.
     """
     spec = spec or CorpusSpec()
+    if spec.assignments_per_graph < 1:
+        raise InvalidParameterError("need at least one assignment per graph")
     report = LemmaReport()
     graphs = small_connected_graphs(spec.max_vertices)
     for gi, g in enumerate(graphs):
@@ -665,7 +655,8 @@ def verify_lemmas(spec: CorpusSpec | None = None) -> LemmaReport:
             g, gi, spec.assignments_per_graph, spec.combos, spec.base_seed
         ):
             report.instances += 1
-            if solve(g, assignment).colorable:
+            result = solve(g, assignment)
+            if result.colorable:
                 continue
             report.uncolorable += 1
             where = {"graph_index": gi, "assignment_index": ai,
@@ -680,8 +671,8 @@ def verify_lemmas(spec: CorpusSpec | None = None) -> LemmaReport:
                         report.odd_tree_checks += 1
                     else:
                         report.even_tree_checks += 1
-                found = certs.find_certificate(g, assignment, kind.name)
-                if found is None or not found[1]:
+                found = certs.certify(g, assignment, (kind.name,), result)
+                if found is None or not kind.check(g, assignment, found[1])[0]:
                     failure = "not found" if found is None else "failed revalidation"
                     report.counterexamples.append(
                         {**where, "lemma": kind.name, "failure": failure}

@@ -34,10 +34,11 @@ stopped.  `SolveStats.nodes` counts search nodes only, `dp_states` the
 states the DP built; every instance decided before the switch point is
 searched exactly as without it.
 
-`extract_critical` works on vertex sets of the host graph's ids, each
-searched in place on its restricted adjacency; colorable candidates keep
-their witnesses, which decide later candidates they extend to, so each
-vertex set is searched at most once.
+`solve` searches components up to the first uncolorable one, which its
+result names; `extract_critical` starts there and searches each candidate
+vertex set in place by the same loop; colorable candidates keep their
+witnesses, which decide later candidates they extend to, so each vertex
+set is searched at most once.
 
 `brute_force_colorable` is an independent exhaustive oracle kept free of the
 solver's machinery; it is meant for tests and cross-validation only.
@@ -83,6 +84,8 @@ class SolveResult:
     status: str
     coloring: Coloring | None
     stats: SolveStats = field(default_factory=SolveStats)
+    # the first component (by smallest member) found uncolorable, or None
+    component: tuple[int, ...] | None = None
 
     @property
     def colorable(self) -> bool:
@@ -335,12 +338,18 @@ def solve(g: Graph, assignment: ListAssignment, deadline: float | None = None) -
     experiment harness; the library default imposes none.
     """
     require_lists_for(g, assignment)
+    return _solve_components(connected_components(g), g.adjacency, assignment, deadline)
+
+
+def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResult:
+    """UNCOLORABLE naming the first of `comps` that is not colorable from
+    its lists, or COLORABLE with a coloring of all of them."""
     stats = SolveStats()
     witness: Coloring = {}
-    for comp in connected_components(g):
-        part = _solve_component(comp, g.adjacency, assignment, stats, deadline)
+    for comp in comps:
+        part = _solve_component(comp, adjacency, assignment, stats, deadline)
         if part is None:
-            return SolveResult(UNCOLORABLE, None, stats)
+            return SolveResult(UNCOLORABLE, None, stats, comp)
         witness.update(part)
     return SolveResult(COLORABLE, witness, stats)
 
@@ -363,19 +372,6 @@ def brute_force_colorable(g: Graph, assignment: ListAssignment, guard: int = 10*
     return False
 
 
-def _first_uncolorable_component(adjacency, comps, assignment):
-    """(the first of `comps` that is not colorable from its lists, None), or
-    (None, a coloring of all of them) when every one is colorable."""
-    stats = SolveStats()
-    witness: Coloring = {}
-    for comp in comps:
-        part = _solve_component(comp, adjacency, assignment, stats, None)
-        if part is None:
-            return comp, None
-        witness.update(part)
-    return None, witness
-
-
 def _kept_coloring(witnesses, core, u, adjacency, lists) -> Coloring | None:
     """A coloring of core - u from the kept colorings, or None.
 
@@ -393,7 +389,9 @@ def _kept_coloring(witnesses, core, u, adjacency, lists) -> Coloring | None:
     return None
 
 
-def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, ...], Graph]:
+def extract_critical(
+    g: Graph, assignment: ListAssignment, solved: SolveResult | None = None
+) -> tuple[tuple[int, ...], Graph]:
     """Shrink an uncolorable instance to a connected induced critical core.
 
     Returns (vertices, induced subgraph) where the core F is not colorable
@@ -401,7 +399,9 @@ def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, .
     are attempted in ascending id order and kept whenever the remainder stays
     uncolorable, restricting to its first uncolorable component (ordered by
     smallest member); the order is fixed so certificates are reproducible.
-    A colorable instance raises `CertificateError`.
+    The first is g's first uncolorable component, which `solved` (the result
+    of `solve(g, assignment)`, searched here when not given) names.  A
+    colorable instance raises `CertificateError`.
 
     Candidates are vertex sets of g's ids: each gets its adjacency restricted
     to it once, and its components are searched in place, so no subgraph or
@@ -414,7 +414,7 @@ def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, .
     candidate gives, and each vertex set is searched at most once.
     """
     require_lists_for(g, assignment)
-    core, _ = _first_uncolorable_component(g.adjacency, connected_components(g), assignment)
+    core = (solve(g, assignment) if solved is None else solved).component
     if core is None:
         raise CertificateError("extract_critical called on a colorable instance")
     # w -> a coloring of (a superset of) core - w; every such w stays in the
@@ -428,12 +428,11 @@ def extract_critical(g: Graph, assignment: ListAssignment) -> tuple[tuple[int, .
                 inside = members - {u}
                 within = {v: tuple(x for x in g.adjacency[v] if x in inside)
                           for v in core if v != u}
-                smaller, witness = _first_uncolorable_component(
-                    within, components_of(within, within, g.n), assignment
-                )
-                if smaller:
-                    core = smaller
+                result = _solve_components(components_of(within, within, g.n), within, assignment)
+                if not result.colorable:
+                    core = result.component
                     break
+                witness = result.coloring
             witnesses[u] = witness
         else:
             return core, induced_subgraph(g, core)[0]

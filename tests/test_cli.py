@@ -122,6 +122,10 @@ class TestSampleAndSolve:
         }
 
 
+# 3-lists from 4 colors on which K4 is colorable
+COLORABLE_K4_LISTS = "sigma=4 k=3\n0: 1 2 3\n1: 1 2 4\n2: 1 3 4\n3: 2 3 4\n"
+
+
 class TestCertify:
     def test_auto_returns_triple(self, c5_file, forced_lists_file, capsys):
         code, out, _ = run(
@@ -157,12 +161,20 @@ class TestCertify:
         code, out, err = run(capsys, "certify", "--graph", k4, "--lists", lists, "--kind", "pair")
         assert (code, out) == (2, "")
         assert "pair certificates need k=2 lists" in err
+        lists.write_text(COLORABLE_K4_LISTS)  # the kind is checked before solving
+        code, out, err = run(capsys, "certify", "--graph", k4, "--lists", lists, "--kind", "pair")
+        assert (code, out) == (2, "")
+        assert "pair certificates need k=2 lists" in err
 
     def test_tree_needs_girth_above_three(self, tmp_path, capsys):
         k4 = tmp_path / "k4.txt"
         k4.write_text(write_graph(complete_multipartite([1, 1, 1, 1])))
         lists = tmp_path / "k4-lists.txt"
         lists.write_text("sigma=3 k=3\n" + "\n".join(f"{v}: 1 2 3" for v in range(4)) + "\n")
+        code, out, err = run(capsys, "certify", "--graph", k4, "--lists", lists, "--kind", "tree")
+        assert (code, out) == (2, "")
+        assert "tree certificates need girth above 3" in err
+        lists.write_text(COLORABLE_K4_LISTS)  # the kind is checked before solving
         code, out, err = run(capsys, "certify", "--graph", k4, "--lists", lists, "--kind", "tree")
         assert (code, out) == (2, "")
         assert "tree certificates need girth above 3" in err
@@ -296,6 +308,13 @@ class TestSweepCommand:
 
 
 class TestVerifyLemmasCommand:
+    @pytest.mark.parametrize("per_graph", [0, -5])
+    def test_per_graph_below_one_is_a_usage_error(self, per_graph, capsys):
+        code, out, err = run(capsys, "verify-lemmas", "--max-vertices", 3,
+                             "--per-graph", per_graph)
+        assert (code, out) == (2, "")
+        assert "--per-graph" in err
+
     def test_small_run_passes(self, capsys):
         code, out, _ = run(
             capsys, "verify-lemmas", "--max-vertices", 4, "--per-graph", 15, "--seed", 3

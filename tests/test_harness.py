@@ -10,7 +10,7 @@ import pytest
 
 from listcolor import certificates as certs
 from listcolor import graphs, harness
-from listcolor.certificates import CERTIFICATE_KINDS, certificate_to_json, find_certificate
+from listcolor.certificates import CERTIFICATE_KINDS, certificate_to_json, certify
 from listcolor.cli import _build_parser
 from listcolor.corpus import small_connected_graphs
 from listcolor.errors import ConfigError, InvalidParameterError
@@ -34,6 +34,7 @@ from listcolor.harness import (
     wilson_interval,
 )
 from listcolor.lists import ListAssignment, SeedSpec, sample_assignment
+from listcolor.solver import solve
 
 
 def small_config(**overrides):
@@ -426,7 +427,7 @@ class TestConfigSchema:
         assert choices("certify", "kind") == [*CERTIFICATE_KINDS, "auto"]
         c5, forced = power_cycle(5, 1), ListAssignment(2, 2, [(1, 2)] * 5)
         labels = [
-            certificate_to_json(find_certificate(c5, forced, name)[0])["kind"]
+            certificate_to_json(certify(c5, forced, (name,), solve(c5, forced))[1])["kind"]
             for name in CERTIFICATE_KINDS
         ]
         assert labels == [kind.label for kind in CERTIFICATE_KINDS.values()]
@@ -524,6 +525,11 @@ class TestCrossing:
 
 
 class TestVerifyLemmas:
+    @pytest.mark.parametrize("per_graph", [0, -5])
+    def test_no_assignments_per_graph_rejected(self, per_graph):
+        with pytest.raises(InvalidParameterError, match="at least one assignment"):
+            verify_lemmas(CorpusSpec(max_vertices=3, assignments_per_graph=per_graph))
+
     def test_reduced_corpus_has_no_counterexamples(self):
         report = verify_lemmas(CorpusSpec(max_vertices=5, assignments_per_graph=40))
         assert report.passed

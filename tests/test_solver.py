@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from listcolor import solver
 from listcolor.certificates import find_bad_triple, is_bad_triple
+from listcolor.certificates import CERTIFICATE_KINDS, certify
 from listcolor.corpus import corpus_assignments, default_combos, small_connected_graphs
 from listcolor.errors import CertificateError, GuardExceededError, SolveTimeout
 from listcolor.graphs import (
@@ -415,6 +416,36 @@ class TestExtractCritical:
                 lines.append(f"{gi} {ai} {vs} {sorted(sub.edges)}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert (len(lines), digest) == self.CORES_SHA256
+
+    def test_solved_result_names_its_first_uncolorable_component(self):
+        g = Graph(6, [(0, 1), (2, 3), (3, 4), (2, 4)])  # an edge, a triangle, vertex 5
+        a = uniform_lists(6, (1, 2))
+        assert solve(g, a).component == (2, 3, 4)
+        assert solve(g, uniform_lists(6, (1, 2, 3))).component is None
+
+    def test_certify_does_not_search_the_solved_instance_again(self, c5, monkeypatch):
+        searched = self.record_searches(monkeypatch)
+        a = uniform_lists(5, (1, 2))
+        kind, _ = certify(c5, a, CERTIFICATE_KINDS, solve(c5, a))
+        assert kind.name == "triple"
+        assert searched.count((0, 1, 2, 3, 4)) == 1
+
+    def test_solved_result_gives_the_same_cores(self):
+        # the slice of test_cores_digest_is_pinned
+        connected = small_connected_graphs(6)
+        graphs = list(connected)
+        for i in range(20):
+            a, b = connected[(7 * i) % len(connected)], connected[(11 * i + 5) % len(connected)]
+            graphs.append(Graph(a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)]))
+        cores = 0
+        for gi, g in enumerate(graphs):
+            for _, a in corpus_assignments(g, gi, 10, default_combos(), base_seed=5):
+                solved = solve(g, a)
+                if solved.colorable:
+                    continue
+                assert extract_critical(g, a, solved) == extract_critical(g, a)
+                cores += 1
+        assert cores == self.CORES_SHA256[0]
 
     def test_core_satisfies_criticality(self):
         combos = ((2, 3), (3, 3))
