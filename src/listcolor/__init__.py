@@ -32,7 +32,6 @@ from .certificates import (
     alternating_chain,
     build_proper_trees,
     certificate_to_json,
-    certify,
     find_2bad_pair,
     find_alternating_paths,
     find_bad_triple,
