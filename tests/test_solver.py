@@ -172,6 +172,14 @@ class TestSearchIsPinned:
              (7, 46, 6, 5, 0), (4, 39, 9, 2, 0), (10, 15, 1, 10, 0), (7, 49, 6, 5, 0)],
             "2430524bcaeaea5b7417bd015fb67baa6bc6259f32931841074ad863cca92515",
         ),
+        # k = 1: every list starts as a forced singleton, so the search is
+        # settled before its first node; trials 1, 2 and 6 are uncolorable
+        "pc30k1s40": (
+            lambda: power_cycle(30, 1), 1, 40, 0, range(8),
+            [(0, 30, 0, 0, 0), (0, 5, 0, 0, 0), (0, 8, 0, 0, 0), (0, 30, 0, 0, 0),
+             (0, 30, 0, 0, 0), (0, 30, 0, 0, 0), (0, 3, 0, 0, 0), (0, 30, 0, 0, 0)],
+            "b906d78f35958a097490dac749b545fb8292b4acf0f98e16dc1e53f5bc867690",
+        ),
     }
 
     @pytest.mark.parametrize("name", list(CELLS))
