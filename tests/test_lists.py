@@ -58,10 +58,12 @@ def test_k_below_one_rejected(n, k):
 
 
 # sigma <= 21 takes random.sample's pool branch; from k = 6 its set-size
-# switch moves, so at k = 7 sigma 85 is pooled and 86 is not.
+# switch moves, so at k = 7 sigma 85 is pooled and 86 is not.  Each of
+# 3/4, 16/17, 32/33 and 64/65 straddles a change of sigma's bit length, the
+# width of every draw, on either side of the switch.
 @pytest.mark.parametrize("sigma,k", [
     (sigma, k)
-    for sigma in (2, 5, 18, 21, 22, 30, 48, 85, 86, 100)
+    for sigma in (2, 3, 4, 5, 16, 17, 18, 21, 22, 30, 32, 33, 48, 64, 65, 85, 86, 100)
     for k in (1, 2, 3, 5, 6, 7)
     if k <= sigma
 ])
