@@ -134,7 +134,8 @@ def sample_assignment(g: Graph, k: int, sigma: int, seed: SeedSpec) -> ListAssig
     every index is drawn by rejection from `getrandbits`, from a partial
     Fisher-Yates pool when sigma is at most sample's set-size switch (21,
     more when k > 5) and otherwise by redrawing colors already chosen.  Each
-    list is returned sorted.  The lists are
+    list is returned sorted.  k = 2 takes its own loop over the same draws,
+    which keeps no pool, set or sort per vertex.  The lists are
     valid by construction, so the result is built without the per-vertex
     checks of the public `ListAssignment` constructor; k and sigma are
     checked here, before any draw.
@@ -149,7 +150,34 @@ def sample_assignment(g: Graph, k: int, sigma: int, seed: SeedSpec) -> ListAssig
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     lists = []
     append = lists.append  # bound once: the loops below run n times
-    if sigma <= setsize:
+    if k == 2:
+        # the same draws as the general loops, with no pool, set or sort
+        bits = sigma.bit_length()
+        if sigma <= setsize:
+            rest, rest_bits = sigma - 1, (sigma - 1).bit_length()
+            for _ in range(g.n):
+                a = getrandbits(bits)
+                while a >= sigma:
+                    a = getrandbits(bits)
+                b = getrandbits(rest_bits)
+                while b >= rest:
+                    b = getrandbits(rest_bits)
+                # the pool moved its last color, sigma, into the slot of a
+                b = sigma if b == a else b + 1
+                a += 1
+                append((a, b) if a < b else (b, a))
+        else:
+            for _ in range(g.n):
+                a = getrandbits(bits)
+                while a >= sigma:
+                    a = getrandbits(bits)
+                b = getrandbits(bits)
+                while b >= sigma or b == a:
+                    b = getrandbits(bits)
+                a += 1
+                b += 1
+                append((a, b) if a < b else (b, a))
+    elif sigma <= setsize:
         universe = list(range(1, sigma + 1))
         draws = [(sigma - i, (sigma - i).bit_length()) for i in range(k)]
         for _ in range(g.n):
