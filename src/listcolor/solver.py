@@ -12,7 +12,9 @@ The next vertex comes from a binary heap of (live list size, vertex id)
 entries that is invalidated lazily; it is the vertex a full minimum scan
 would pick, and colors are tried in ascending order.  `SolveStats` counts
 search nodes, forced propagations, backtracks (tries undone after a
-failure) and the deepest frame stack.
+failure) and the deepest frame stack.  The deadline is read once per node.
+At k = 1 every list is a forced singleton, so the propagation alone decides
+the component and no node is searched.
 
 The search state is indexed by list positions, never by color values: a
 vertex's live colors are a bitmask whose bit i stands for the i-th color of
@@ -218,21 +220,12 @@ def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring |
     # entries of colored vertices or of stale sizes are skipped on pop.
     heap: list[tuple[int, int]] = []
 
-    def fresh_heap():
-        entries = [(size[u], u) for u in comp if u not in colors]
-        heapify(entries)
-        return entries
-
-    def assign_chain(v0, c0) -> bool:
-        # Assign v0=c0, then chase forced singletons, logging undo info.
+    def assign_chain(v, c) -> bool:
+        # Assign the uncolored v=c, then chase forced singletons, logging
+        # undo info; the stack of forced moves is made for the first one.
         nonlocal propagations
-        stack = [(v0, c0)]
-        while stack:
-            v, c = stack.pop()
-            if v in colors:
-                if colors[v] != c:
-                    return False
-                continue
+        forced = None
+        while True:
             colors[v] = c
             trail.append(~v)
             for w in adjacency[v]:
@@ -253,33 +246,31 @@ def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring |
                         return False
                     if remaining == 1:
                         propagations += 1
-                        stack.append((w, options[mask.bit_length() - 1]))
+                        if forced is None:
+                            forced = []
+                        forced.append((w, options[mask.bit_length() - 1]))
                     else:
                         heappush(heap, (remaining, w))
-        return True
-
-    def undo(mark):
-        # roll the trail back to length mark
-        while len(trail) > mark:
-            x = trail.pop()
-            if x < 0:
-                v = ~x
-                del colors[v]
-                heappush(heap, (size[v], v))
-            else:
-                v = trail.pop()
-                live[v] |= x
-                s = size[v] = size[v] + 1
-                heappush(heap, (s, v))
+            while True:  # the next forced move of a vertex still uncolored
+                if not forced:
+                    return True
+                v, c = forced.pop()
+                if v not in colors:
+                    break
+                if colors[v] != c:
+                    return False
 
     try:
-        # settle pre-forced singletons before searching
-        for v in comp:
-            if size[v] == 1 and v not in colors:
-                propagations += 1
-                if not assign_chain(v, lists[v][live[v].bit_length() - 1]):
-                    return None
-        heap = fresh_heap()
+        if k == 1:
+            # every list is a forced singleton: no search is needed
+            for v in comp:
+                if v not in colors:
+                    propagations += 1
+                    if not assign_chain(v, lists[v][0]):
+                        return None
+            return colors
+        heap = [(k, u) for u in comp]
+        heapify(heap)
 
         # One frame per branching vertex: [vertex, mask of its untried live
         # positions, trail length before its tries].  The next vertex is the
@@ -293,13 +284,15 @@ def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring |
                     return colors
                 if len(heap) > 2 * n:
                     # stale entries pile up in long searches; keep memory flat
-                    heap = fresh_heap()
+                    heap = [(size[u], u) for u in comp if u not in colors]
+                    heapify(heap)
                 while True:
                     s, v = heappop(heap)
                     if v not in colors and size[v] == s:
                         break
                 nodes += 1
-                _check_deadline(deadline)
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SolveTimeout("solver deadline expired")
                 if nodes > switch_at:
                     switch_at = float("inf")  # the width is computed once
                     order = sorted(comp)
@@ -311,7 +304,18 @@ def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring |
                     max_depth = len(frames)
             else:
                 frame = frames[-1]
-                undo(frame[2])
+                mark = frame[2]  # roll the trail back to the frame's mark
+                while len(trail) > mark:
+                    x = trail.pop()
+                    if x < 0:
+                        u = ~x
+                        del colors[u]
+                        heappush(heap, (size[u], u))
+                    else:
+                        u = trail.pop()
+                        live[u] |= x
+                        s = size[u] = size[u] + 1
+                        heappush(heap, (s, u))
                 backtracks += 1
             v, untried, _ = frame
             if not untried:
