@@ -186,6 +186,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify_lemmas(args) -> int:
     _require(args.per_graph >= 1, "--per-graph must be at least 1")
+    _require(1 <= args.max_vertices <= 7, "--max-vertices must lie in 1..7, the atlas corpus")
     spec = CorpusSpec(
         max_vertices=args.max_vertices,
         assignments_per_graph=args.per_graph,

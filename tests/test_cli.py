@@ -315,6 +315,12 @@ class TestVerifyLemmasCommand:
         assert (code, out) == (2, "")
         assert "--per-graph" in err
 
+    @pytest.mark.parametrize("max_vertices", [0, 8])
+    def test_max_vertices_outside_the_atlas_is_a_usage_error(self, max_vertices, capsys):
+        code, out, err = run(capsys, "verify-lemmas", "--max-vertices", max_vertices)
+        assert (code, out) == (2, "")
+        assert "--max-vertices" in err
+
     def test_small_run_passes(self, capsys):
         code, out, _ = run(
             capsys, "verify-lemmas", "--max-vertices", 4, "--per-graph", 15, "--seed", 3
