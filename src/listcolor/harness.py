@@ -46,7 +46,7 @@ from . import certificates as certs
 from .corpus import corpus_assignments, default_combos, small_connected_graphs
 from .errors import ConfigError, GuardExceededError, InvalidParameterError, SolveTimeout
 from .graphs import FAMILIES, Graph, connected_components, girth
-from .lists import ListAssignment, SeedSpec, derive_seed, sample_assignment
+from .lists import SeedSpec, derive_seed, sample_assignment
 from .scaling import ScalingExpr, parse_scaling
 from .solver import solve
 
@@ -678,28 +678,3 @@ def verify_lemmas(spec: CorpusSpec | None = None) -> LemmaReport:
                         {**where, "lemma": kind.name, "failure": failure}
                     )
     return report
-
-
-# ---------------------------------------------------------------------------
-# identical-list clique counting (for the disjoint-clique family)
-
-
-def identical_list_clique_count(g: Graph, assignment: ListAssignment, k: int) -> int:
-    """Number of (k+1)-cliques whose vertices all carry the same list, for
-    graphs whose non-trivial components are cliques (the clique_union
-    family); grouping by component keeps this linear."""
-    from collections import Counter
-
-    total = 0
-    for comp in connected_components(g):
-        if len(comp) < k + 1:
-            continue
-        size = len(comp)
-        members = set(comp)
-        actual = sum(1 for u in comp for w in g.adjacency[u] if w in members) // 2
-        if actual != size * (size - 1) // 2:
-            raise InvalidParameterError("component is not a clique; counting unsupported")
-        tally = Counter(assignment[v] for v in comp)
-        for repeats in tally.values():
-            total += math.comb(repeats, k + 1)
-    return total

@@ -35,9 +35,10 @@ from listcolor.certificates import (
 )
 from listcolor.corpus import corpus_assignments, small_connected_graphs
 from listcolor.graphs import Graph, clique_union, girth, petersen
-from listcolor.harness import ExperimentConfig, identical_list_clique_count, sweep
+from listcolor.harness import ExperimentConfig, sweep
 from listcolor.lists import SeedSpec, derive_seed, sample_assignment
 from listcolor.solver import brute_force_colorable, solve
+from support import identical_list_clique_count
 
 CORPUS_COMBOS = ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5))
 ASSIGNMENTS_PER_GRAPH = 200

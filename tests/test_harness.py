@@ -26,7 +26,6 @@ from listcolor.harness import (
     CorpusSpec,
     ExperimentConfig,
     GraphFamily,
-    identical_list_clique_count,
     p_half_crossing,
     run_point,
     sweep,
@@ -35,6 +34,7 @@ from listcolor.harness import (
 )
 from listcolor.lists import ListAssignment, SeedSpec, sample_assignment
 from listcolor.solver import solve
+from support import identical_list_clique_count
 
 
 def small_config(**overrides):
