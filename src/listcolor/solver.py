@@ -112,11 +112,6 @@ def require_lists_for(g: Graph, assignment: ListAssignment) -> None:
         raise InvalidParameterError("assignment must define a list for every vertex")
 
 
-def _check_deadline(deadline):
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolveTimeout("solver deadline expired")
-
-
 def _frontier_width(order, adjacency) -> int:
     """Largest number of processed vertices with an unprocessed neighbor
     while the vertices of a component are processed in ascending order."""
@@ -155,7 +150,8 @@ def _frontier_dp(order, adjacency, assignment, stats, deadline) -> Coloring | No
     states = [0]
     steps = []
     for v in order:
-        _check_deadline(deadline)
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolveTimeout("solver deadline expired")
         earlier = [(lists[u], shift[u]) for u in adjacency[v] if u < v]
         near = sum(mask << s for _, s in earlier)
         gone = leavers.pop(v, ())
