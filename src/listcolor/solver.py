@@ -258,12 +258,12 @@ def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring |
 
     try:
         if k == 1:
-            # every list is a forced singleton: no search is needed
+            # every list is a forced singleton: no search is needed, and no
+            # forced move can follow (a one-color list empties when it shrinks)
             for v in comp:
-                if v not in colors:
-                    propagations += 1
-                    if not assign_chain(v, lists[v][0]):
-                        return None
+                propagations += 1
+                if not assign_chain(v, lists[v][0]):
+                    return None
             return colors
         heap = [(k, u) for u in comp]
         heapify(heap)
