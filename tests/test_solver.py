@@ -180,6 +180,35 @@ class TestSearchIsPinned:
              (0, 30, 0, 0, 0), (0, 30, 0, 0, 0), (0, 3, 0, 0, 0), (0, 30, 0, 0, 0)],
             "b906d78f35958a097490dac749b545fb8292b4acf0f98e16dc1e53f5bc867690",
         ),
+        # 400 disjoint K5s, searched one component after another
+        "cu2000k2s12": (
+            lambda: clique_union(2000, 4), 2, 12, 0, range(8),
+            [(383, 191, 6, 5, 0), (383, 201, 3, 5, 0), (587, 322, 9, 5, 0), (106, 65, 3, 5, 0),
+             (1058, 589, 9, 5, 0), (1289, 740, 11, 5, 0), (1324, 709, 13, 5, 0),
+             (141, 75, 7, 5, 0)],
+            "7954bc68a8041ae80e9a1ddac5437db866f1bb21158bfc154052232f10eefb6c",
+        ),
+        "cu2000k2s20": (
+            lambda: clique_union(2000, 4), 2, 20, 0, range(8),
+            [(1550, 452, 1, 5, 0), (1266, 358, 3, 5, 0), (1615, 385, 0, 5, 0),
+             (1565, 439, 2, 5, 0), (1580, 429, 3, 5, 0), (124, 41, 2, 5, 0),
+             (657, 198, 2, 5, 0), (934, 301, 8, 5, 0)],
+            "f9bb94ee52b589a4c152ddbededed78afd7ded8f70f79f589796bed3c6d47792",
+        ),
+    }
+
+    # the first uncolorable component of each trial of a multi-component
+    # cell, None where the trial is colorable
+    COMPONENTS = {
+        "cu2000k2s12": [
+            (560, 561, 562, 563, 564), (575, 576, 577, 578, 579), (885, 886, 887, 888, 889),
+            (160, 161, 162, 163, 164), (1620, 1621, 1622, 1623, 1624), None, None,
+            (200, 201, 202, 203, 204),
+        ],
+        "cu2000k2s20": [
+            None, (1615, 1616, 1617, 1618, 1619), None, None, None,
+            (160, 161, 162, 163, 164), (850, 851, 852, 853, 854), (1215, 1216, 1217, 1218, 1219),
+        ],
     }
 
     @pytest.mark.parametrize("name", list(CELLS))
@@ -192,6 +221,8 @@ class TestSearchIsPinned:
         ]
         assert [astuple(r.stats) for r in results] == stats
         assert witness_digest(results) == digest
+        if name in self.COMPONENTS:
+            assert [r.component for r in results] == self.COMPONENTS[name]
 
     # 200 corpus instances: every 5th connected graph on at most 7 vertices,
     # (k, sigma) cycling through default_combos(), lists at base seed 15.
