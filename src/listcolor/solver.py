@@ -3,8 +3,11 @@
 The solver is complete: backtracking over vertices with forced-move
 propagation (a live list shrinking to one color triggers an assignment, to
 zero a backtrack) and minimum-remaining-values ordering, ties broken by
-vertex id.  Components are solved independently.  Color symmetry is NOT
-broken: lists distinguish colors.
+vertex id.  Components are searched one after another, each on its own,
+but on one state made once per call: flat lists indexed by vertex id of
+live masks, live counts and colors (0 while uncolored), which a component
+touches only at its own vertices; each component gets a fresh heap, frames
+and trail.  Color symmetry is NOT broken: lists distinguish colors.
 
 The search is iterative, a loop over an explicit stack of frames, so its
 depth is limited by memory only, never by the interpreter's recursion limit.
@@ -31,14 +34,15 @@ computed in ascending-id order: the most processed vertices that still have
 an unprocessed neighbor (2r for `power_cycle(n, r)`).  If k^w <= 4096 the
 search is dropped and a frontier DP decides the component exactly: it keeps
 the set of proper colorings of the frontier, step by step, and rebuilds a
-witness from per-step back-pointers.  Otherwise the search goes on where it
-stopped.  `SolveStats.nodes` counts search nodes only, `dp_states` the
+witness from per-step back-pointers, which goes into the color list.
+Otherwise the search goes on where it stopped.  `SolveStats.nodes` counts search nodes only, `dp_states` the
 states the DP built; every instance decided before the switch point is
 searched exactly as without it.
 
 `solve` searches components up to the first uncolorable one, which its
 result names; `extract_critical` starts there and searches each candidate
-vertex set in place by the same loop; colorable candidates keep their
+vertex set in place by the same loop, on a state of g.n entries made once
+per candidate; colorable candidates keep their
 witnesses, which decide later candidates they extend to, so each vertex
 set is searched at most once.
 
@@ -197,36 +201,57 @@ def _frontier_dp(order, adjacency, assignment, stats, deadline) -> Coloring | No
     return coloring
 
 
-def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring | None:
-    """A coloring of the component `comp` from its lists, or None; the
-    neighbors of each vertex of comp are `adjacency[v]`."""
-    lists, k, n = assignment.lists, assignment.k, len(comp)
-    nodes, max_depth = stats.nodes, stats.max_depth
-    propagations = backtracks = 0
-    switch_at = nodes + _SWITCH_BASE + _SWITCH_PER_VERTEX * n
+def solve(g: Graph, assignment: ListAssignment, deadline: float | None = None) -> SolveResult:
+    """Decide whether g has a proper coloring drawn from the lists.
+
+    Complete: never reports UNCOLORABLE for a colorable instance.  A
+    COLORABLE result carries a witness that passes `verify_coloring`.
+    `deadline` (time.monotonic value) is a cooperative budget used by the
+    experiment harness; the library default imposes none.
+    """
+    require_lists_for(g, assignment)
+    return _solve_components(connected_components(g), g.adjacency, assignment, deadline)
+
+
+def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResult:
+    """UNCOLORABLE naming the first of `comps` that is not colorable from
+    its lists, or COLORABLE with a coloring of all of them; the neighbors
+    of each vertex v of a component are `adjacency[v]`.
+
+    The components are searched in order on one state indexed by vertex id,
+    made once per call; each component gets a fresh heap, frames and trail.
+    """
+    lists, k, n = assignment.lists, assignment.k, len(assignment.lists)
     # live[v]: bit i set iff lists[v][i] is still live (lists are sorted, so
-    # the lowest bit is the smallest color); size[v] counts the set bits
-    live = dict.fromkeys(comp, (1 << k) - 1)
-    size = dict.fromkeys(comp, k)
-    colors: Coloring = {}
+    # the lowest bit is the smallest color); size[v] counts the set bits;
+    # col[v] is v's color, 0 while v is uncolored
+    live = [(1 << k) - 1] * n
+    size = [k] * n
+    col = [0] * n
+    stats = SolveStats()
+    nodes = propagations = backtracks = max_depth = 0
+    colored = 0  # colored vertices of the current component
     # flat undo log: ~v for an assignment of v, then w, bit for each removal
     # of position bit from live[w]
     trail: list[int] = []
-    # Lazy MRV heap: every uncolored vertex has an entry (size[u], u);
-    # entries of colored vertices or of stale sizes are skipped on pop.
+    # Lazy MRV heap: every uncolored vertex of the component has an entry
+    # (size[u], u); entries of colored vertices or of stale sizes are
+    # skipped on pop.
     heap: list[tuple[int, int]] = []
 
     def assign_chain(v, c) -> bool:
         # Assign the uncolored v=c, then chase forced singletons, logging
         # undo info; the stack of forced moves is made for the first one.
-        nonlocal propagations
+        nonlocal propagations, colored
         forced = None
         while True:
-            colors[v] = c
+            col[v] = c
+            colored += 1
             trail.append(~v)
             for w in adjacency[v]:
-                if w in colors:
-                    if colors[w] == c:
+                cw = col[w]
+                if cw:
+                    if cw == c:
                         return False
                     continue
                 options = lists[w]
@@ -251,107 +276,97 @@ def _solve_component(comp, adjacency, assignment, stats, deadline) -> Coloring |
                 if not forced:
                     return True
                 v, c = forced.pop()
-                if v not in colors:
+                if not col[v]:
                     break
-                if colors[v] != c:
+                if col[v] != c:
                     return False
 
     try:
-        if k == 1:
-            # every list is a forced singleton: no search is needed, and no
-            # forced move can follow (a one-color list empties when it shrinks)
-            for v in comp:
-                propagations += 1
-                if not assign_chain(v, lists[v][0]):
-                    return None
-            return colors
-        heap = [(k, u) for u in comp]
-        heapify(heap)
-
-        # One frame per branching vertex: [vertex, mask of its untried live
-        # positions, trail length before its tries].  The next vertex is the
-        # uncolored one minimizing (size[u], u), colors are tried in
-        # ascending order: the order of a chronological recursive search.
-        frames: list[list[int]] = []
-        descend = True
-        while True:
-            if descend:
-                if len(colors) == n:
-                    return colors
-                if len(heap) > 2 * n:
-                    # stale entries pile up in long searches; keep memory flat
-                    heap = [(size[u], u) for u in comp if u not in colors]
-                    heapify(heap)
-                while True:
-                    s, v = heappop(heap)
-                    if v not in colors and size[v] == s:
-                        break
-                nodes += 1
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SolveTimeout("solver deadline expired")
-                if nodes > switch_at:
-                    switch_at = float("inf")  # the width is computed once
-                    order = sorted(comp)
-                    if k ** _frontier_width(order, adjacency) <= _DP_MAX_STATES:
-                        return _frontier_dp(order, adjacency, assignment, stats, deadline)
-                frame = [v, live[v], len(trail)]
-                frames.append(frame)
-                if len(frames) > max_depth:
-                    max_depth = len(frames)
-            else:
-                frame = frames[-1]
-                mark = frame[2]  # roll the trail back to the frame's mark
-                while len(trail) > mark:
-                    x = trail.pop()
-                    if x < 0:
-                        u = ~x
-                        del colors[u]
-                        heappush(heap, (size[u], u))
-                    else:
-                        u = trail.pop()
-                        live[u] |= x
-                        s = size[u] = size[u] + 1
-                        heappush(heap, (s, u))
-                backtracks += 1
-            v, untried, _ = frame
-            if not untried:
-                frames.pop()
-                if not frames:
-                    return None
-                descend = False
+        for comp in comps:
+            if k == 1:
+                # every list is a forced singleton: no search is needed, and
+                # no forced move can follow (a one-color list empties when
+                # it shrinks)
+                for v in comp:
+                    propagations += 1
+                    if not assign_chain(v, lists[v][0]):
+                        return SolveResult(UNCOLORABLE, None, stats, comp)
                 continue
-            bit = untried & -untried
-            frame[1] = untried ^ bit
-            descend = assign_chain(v, lists[v][bit.bit_length() - 1])
+            size_c = len(comp)
+            switch_at = nodes + _SWITCH_BASE + _SWITCH_PER_VERTEX * size_c
+            colored = 0
+            trail.clear()
+            heap = [(k, u) for u in comp]
+            heapify(heap)
+
+            # One frame per branching vertex: [vertex, mask of its untried
+            # live positions, trail length before its tries].  The next
+            # vertex is the uncolored one minimizing (size[u], u), colors are
+            # tried in ascending order: the order of a chronological
+            # recursive search.
+            frames: list[list[int]] = []
+            descend = True
+            while True:
+                if descend:
+                    if colored == size_c:
+                        break
+                    if len(heap) > 2 * size_c:
+                        # stale entries pile up in long searches; keep memory flat
+                        heap = [(size[u], u) for u in comp if not col[u]]
+                        heapify(heap)
+                    while True:
+                        s, v = heappop(heap)
+                        if not col[v] and size[v] == s:
+                            break
+                    nodes += 1
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise SolveTimeout("solver deadline expired")
+                    if nodes > switch_at:
+                        switch_at = float("inf")  # the width is computed once
+                        order = sorted(comp)
+                        if k ** _frontier_width(order, adjacency) <= _DP_MAX_STATES:
+                            coloring = _frontier_dp(order, adjacency, assignment, stats, deadline)
+                            if coloring is None:
+                                return SolveResult(UNCOLORABLE, None, stats, comp)
+                            for u, c in coloring.items():
+                                col[u] = c
+                            break
+                    frame = [v, live[v], len(trail)]
+                    frames.append(frame)
+                    if len(frames) > max_depth:
+                        max_depth = len(frames)
+                else:
+                    frame = frames[-1]
+                    mark = frame[2]  # roll the trail back to the frame's mark
+                    while len(trail) > mark:
+                        x = trail.pop()
+                        if x < 0:
+                            u = ~x
+                            col[u] = 0
+                            colored -= 1
+                            heappush(heap, (size[u], u))
+                        else:
+                            u = trail.pop()
+                            live[u] |= x
+                            s = size[u] = size[u] + 1
+                            heappush(heap, (s, u))
+                    backtracks += 1
+                v, untried, _ = frame
+                if not untried:
+                    frames.pop()
+                    if not frames:
+                        return SolveResult(UNCOLORABLE, None, stats, comp)
+                    descend = False
+                    continue
+                bit = untried & -untried
+                frame[1] = untried ^ bit
+                descend = assign_chain(v, lists[v][bit.bit_length() - 1])
+        return SolveResult(COLORABLE, {v: col[v] for comp in comps for v in comp}, stats)
     finally:
-        stats.nodes, stats.max_depth = nodes, max_depth
+        stats.nodes += nodes
         stats.propagations += propagations
         stats.backtracks += backtracks
-
-
-def solve(g: Graph, assignment: ListAssignment, deadline: float | None = None) -> SolveResult:
-    """Decide whether g has a proper coloring drawn from the lists.
-
-    Complete: never reports UNCOLORABLE for a colorable instance.  A
-    COLORABLE result carries a witness that passes `verify_coloring`.
-    `deadline` (time.monotonic value) is a cooperative budget used by the
-    experiment harness; the library default imposes none.
-    """
-    require_lists_for(g, assignment)
-    return _solve_components(connected_components(g), g.adjacency, assignment, deadline)
-
-
-def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResult:
-    """UNCOLORABLE naming the first of `comps` that is not colorable from
-    its lists, or COLORABLE with a coloring of all of them."""
-    stats = SolveStats()
-    witness: Coloring = {}
-    for comp in comps:
-        part = _solve_component(comp, adjacency, assignment, stats, deadline)
-        if part is None:
-            return SolveResult(UNCOLORABLE, None, stats, comp)
-        witness.update(part)
-    return SolveResult(COLORABLE, witness, stats)
+        stats.max_depth = max(stats.max_depth, max_depth)
 
 
 def brute_force_colorable(g: Graph, assignment: ListAssignment, guard: int = 10**7) -> bool:

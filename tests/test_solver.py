@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import tracemalloc
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from listcolor.lists import ListAssignment, SeedSpec, derive_seed, sample_assign
 from listcolor.solver import (
     COLORABLE,
     UNCOLORABLE,
+    SolveResult,
     brute_force_colorable,
     extract_critical,
     solve,
@@ -103,12 +105,13 @@ class TestIterativeSearch:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
-    def test_counts_reached_survive_a_timeout(self):
+    def test_counts_reached_survive_a_timeout(self, monkeypatch):
         g = power_cycle(800, 3)
         a = sample_assignment(g, 3, 12, SeedSpec(derive_seed(10000, 800, 3, 12), 0))
         stats = solver.SolveStats(nodes=5, max_depth=7)
+        monkeypatch.setattr(solver, "SolveStats", lambda: stats)  # the search's own stats
         with pytest.raises(SolveTimeout):
-            solver._solve_component(range(g.n), g.adjacency, a, stats, deadline=0.0)
+            solver._solve_components([range(g.n)], g.adjacency, a, deadline=0.0)
         assert (stats.nodes, stats.max_depth) == (6, 7)
 
 
@@ -296,6 +299,90 @@ class TestFrontierFallback:
         assert solver._frontier_width(range(50), g.adjacency) == 6
 
 
+def disjoint_union(g1, a1, g2, a2):
+    """G1 and G2 side by side, G2's ids shifted past G1's, each with its lists."""
+    g = Graph(g1.n + g2.n, [*g1.edges, *((u + g1.n, v + g1.n) for u, v in g2.edges)])
+    return g, ListAssignment(max(a1.sigma, a2.sigma), a1.k, a1.lists + a2.lists)
+
+
+K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+K3_LISTS = ListAssignment(3, 2, [(1, 2), (2, 3), (1, 3)])  # colorable
+
+
+class TestComponentsShareOneState:
+    """Solving G1 + G2 (both connected) is solving G1, then G2 if G1 is
+    colorable: the components share one search state and must not leak
+    into each other."""
+
+    @staticmethod
+    def check_union(g1, a1, g2, a2) -> SolveResult:
+        r1, r2 = solve(g1, a1), solve(g2, a2)
+        g, a = disjoint_union(g1, a1, g2, a2)
+        result = solve(g, a)
+        if not r1.colorable:  # the search stops at G1
+            assert (result.status, result.stats, result.component) == (
+                UNCOLORABLE, r1.stats, r1.component
+            )
+            return result
+        s1, s2 = r1.stats, r2.stats
+        assert astuple(result.stats) == (
+            s1.nodes + s2.nodes, s1.propagations + s2.propagations,
+            s1.backtracks + s2.backtracks, max(s1.max_depth, s2.max_depth),
+            s1.dp_states + s2.dp_states,
+        )
+        if r2.colorable:
+            shifted = {v + g1.n: c for v, c in r2.coloring.items()}
+            assert result.colorable and result.coloring == {**r1.coloring, **shifted}
+            assert verify_coloring(g, a, result.coloring)
+        else:
+            assert (result.status, result.component) == (
+                UNCOLORABLE, tuple(v + g1.n for v in r2.component)
+            )
+        return result
+
+    @pytest.mark.parametrize("switch", [False, True], ids=["search", "dp"])
+    def test_corpus_unions(self, switch, monkeypatch):
+        if switch:
+            force_switch(monkeypatch)
+        graphs = small_connected_graphs(6)
+        combos = default_combos()
+        outcomes = set()
+        for i in range(300):
+            g1, g2 = graphs[(7 * i) % len(graphs)], graphs[(11 * i + 5) % len(graphs)]
+            k, sigma = combos[i % len(combos)]
+            a1 = sample_assignment(g1, k, sigma, SeedSpec(41, 2 * i))
+            a2 = sample_assignment(g2, k, sigma, SeedSpec(41, 2 * i + 1))
+            result = self.check_union(g1, a1, g2, a2)
+            outcomes.add(None if result.colorable else result.component[0] == 0)
+        assert outcomes == {None, True, False}
+
+    def test_second_component_reaches_the_frontier_dp(self):
+        # the lists of pinned cell pc200k2s8, trial 0, after a colored K3
+        g2 = power_cycle(200, 2)
+        a2 = sample_assignment(g2, 2, 8, SeedSpec(derive_seed(0, 200, 2, 8), 0))
+        result = self.check_union(K3, K3_LISTS, g2, a2)
+        assert result.stats.dp_states == 509
+        assert result.component == tuple(range(3, 203))
+
+    def test_a_timeout_in_the_second_component_keeps_the_counts_reached(self, monkeypatch):
+        g2 = power_cycle(200, 2)
+        a2 = sample_assignment(g2, 2, 8, SeedSpec(derive_seed(0, 200, 2, 8), 0))
+        first = solve(K3, K3_LISTS).stats
+        g, a = disjoint_union(K3, K3_LISTS, g2, a2)
+        # the clock passes the deadline after one read per node of the K3
+        reads = itertools.chain(itertools.repeat(0.0, first.nodes), itertools.repeat(1.0))
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(reads)))
+        stats = solver.SolveStats()
+        monkeypatch.setattr(solver, "SolveStats", lambda: stats)  # the search's own stats
+        with pytest.raises(SolveTimeout):
+            solve(g, a, deadline=0.0)
+        # the K3's counts and the second component's first node, which
+        # timed out before its frame was pushed
+        assert astuple(stats) == (
+            first.nodes + 1, first.propagations, first.backtracks, first.max_depth, 0
+        )
+
+
 @st.composite
 def small_instances(draw):
     n = draw(st.integers(1, 7))
@@ -396,15 +483,20 @@ class TestExtractCritical:
 
     @staticmethod
     def record_searches(monkeypatch):
-        """Vertex sets that `_solve_component` searches, in call order."""
+        """Vertex sets that the solver searches, in search order: the
+        components of each call up to its first uncolorable one, or all of
+        them when the call finds a coloring."""
         searched = []
-        original = solver._solve_component
+        original = solver._solve_components
 
-        def recording(comp, adjacency, assignment, stats, deadline):
-            searched.append(tuple(comp))
-            return original(comp, adjacency, assignment, stats, deadline)
+        def recording(comps, adjacency, assignment, deadline=None):
+            comps = list(comps)
+            result = original(comps, adjacency, assignment, deadline)
+            last = len(comps) if result.colorable else comps.index(result.component) + 1
+            searched.extend(tuple(comp) for comp in comps[:last])
+            return result
 
-        monkeypatch.setattr(solver, "_solve_component", recording)
+        monkeypatch.setattr(solver, "_solve_components", recording)
         return searched
 
     def test_solves_a_connected_instance_whole_once(self, c5, monkeypatch):
