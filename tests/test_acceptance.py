@@ -23,9 +23,6 @@ from listcolor.certificates import (
     OrderedSeq,
     ProperPair,
     build_proper_trees,
-    count_nonconsecutive,
-    count_proper_triples_by_m,
-    enumerate_proper_triples,
     find_2bad_pair,
     find_bad_triple,
     find_tree_bad,
@@ -38,7 +35,12 @@ from listcolor.graphs import Graph, clique_union, girth, petersen
 from listcolor.harness import ExperimentConfig, sweep
 from listcolor.lists import SeedSpec, derive_seed, sample_assignment
 from listcolor.solver import brute_force_colorable, solve
-from support import identical_list_clique_count
+from support import (
+    count_nonconsecutive,
+    count_proper_triples_by_m,
+    enumerate_proper_triples,
+    identical_list_clique_count,
+)
 
 CORPUS_COMBOS = ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5))
 ASSIGNMENTS_PER_GRAPH = 200

@@ -10,15 +10,11 @@ from listcolor.bounds import (
     pair_count_bound,
     pair_expectation_sum,
 )
-from listcolor.certificates import (
-    CYCLE,
-    LOLLIPOP,
-    OrderedSeq,
-    ProperPair,
-    count_nonconsecutive,
-)
+from listcolor.certificates import CYCLE, LOLLIPOP, OrderedSeq, ProperPair
 from listcolor.graphs import Graph, complete_multipartite, power_cycle
 from listcolor.lists import SeedSpec, derive_seed, prob_identical_lists, sample_assignment
+
+from support import count_nonconsecutive
 
 
 def enumerate_ordered_sequences(g, start):

@@ -9,24 +9,18 @@ from listcolor.certificates import (
     EVEN,
     LOLLIPOP,
     ODD,
-    AlternatingPath,
     OrderedSeq,
     ProperPair,
     ProperTriple,
     alternating_chain,
     build_proper_trees,
     certificate_to_json,
-    count_nonconsecutive,
-    count_proper_triples_by_m,
-    enumerate_proper_triples,
     find_2bad_pair,
     find_alternating_paths,
     find_bad_triple,
     find_tree_bad,
-    induced_rank,
     is_2bad_pair,
     is_bad_triple,
-    is_L_alternating,
     is_tree_bad,
     proper_tree_size,
 )
@@ -37,6 +31,14 @@ from listcolor.lists import ListAssignment
 from listcolor.solver import brute_force_colorable, extract_critical, solve
 
 from conftest import uniform_lists
+from support import (
+    AlternatingPath,
+    count_nonconsecutive,
+    count_proper_triples_by_m,
+    enumerate_proper_triples,
+    induced_rank,
+    is_L_alternating,
+)
 
 
 def exhaustive_alt_distances(g, assignment, coloring, origin):
