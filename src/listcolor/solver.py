@@ -35,16 +35,16 @@ an unprocessed neighbor (2r for `power_cycle(n, r)`).  If k^w <= 4096 the
 search is dropped and a frontier DP decides the component exactly: it keeps
 the set of proper colorings of the frontier, step by step, and rebuilds a
 witness from per-step back-pointers, which goes into the color list.
-Otherwise the search goes on where it stopped.  `SolveStats.nodes` counts search nodes only, `dp_states` the
-states the DP built; every instance decided before the switch point is
-searched exactly as without it.
+Otherwise the search goes on where it stopped.  `SolveStats.nodes` counts
+search nodes only, `dp_states` the states the DP built; every instance
+decided before the switch point is searched exactly as without it.
 
 `solve` searches components up to the first uncolorable one, which its
 result names; `extract_critical` starts there and searches each candidate
 vertex set in place by the same loop, on a state of g.n entries made once
-per candidate; colorable candidates keep their
-witnesses, which decide later candidates they extend to, so each vertex
-set is searched at most once.
+per candidate; colorable candidates keep their witnesses, which decide
+later candidates they extend to, so each vertex set is searched at most
+once.
 
 `brute_force_colorable` is an independent exhaustive oracle kept free of the
 solver's machinery; it is meant for tests and cross-validation only.
