@@ -16,7 +16,7 @@ from listcolor.certificates import (
 from listcolor.errors import CertificateError, GuardExceededError, InvalidParameterError
 from listcolor.graphs import Graph, connected_components, vertex_set
 from listcolor.lists import ListAssignment
-from listcolor.solver import Coloring
+from listcolor.solver import COLORABLE, UNCOLORABLE, Coloring, SolveResult, SolveStats
 
 
 def identical_list_clique_count(g: Graph, assignment: ListAssignment, k: int) -> int:
@@ -171,3 +171,73 @@ def count_nonconsecutive(pair: ProperPair) -> int:
         if (min(u, w), max(u, w)) not in h1_edges:
             r += 1
     return r
+
+
+def reference_solve(g: Graph, assignment: ListAssignment) -> SolveResult:
+    """The search `solver.solve` runs, as a plain recursion on sets of live
+    colors, for k >= 2 and instances below the frontier-DP switch point.
+
+    Components are searched in `connected_components` order up to the first
+    uncolorable one.  Each node picks the uncolored vertex minimizing (live
+    list size, id) by a full scan and tries its live colors in ascending
+    order; a try colors the vertex and chases forced moves as the kernel
+    does.  The counts follow the kernel's definitions: `nodes` counts picks,
+    `propagations` every live list that shrinks to one color, `backtracks`
+    every try undone after a failure, `max_depth` the most nodes on one
+    path.
+    """
+    stats = SolveStats()
+    coloring: Coloring = {}
+    for comp in connected_components(g):
+        found = _reference_search(
+            g.adjacency, comp, {v: set(assignment[v]) for v in comp}, {}, stats, 1
+        )
+        if found is None:
+            return SolveResult(UNCOLORABLE, None, stats, comp)
+        coloring.update(found)
+    return SolveResult(COLORABLE, coloring, stats)
+
+
+def _reference_search(adjacency, comp, live, colors, stats, depth) -> Coloring | None:
+    uncolored = [u for u in comp if u not in colors]
+    if not uncolored:
+        return colors
+    v = min(uncolored, key=lambda u: (len(live[u]), u))
+    stats.nodes += 1
+    stats.max_depth = max(stats.max_depth, depth)
+    for c in sorted(live[v]):
+        tried_live = {u: set(s) for u, s in live.items()}
+        tried_colors = dict(colors)
+        if _reference_chain(adjacency, tried_live, tried_colors, v, c, stats):
+            found = _reference_search(adjacency, comp, tried_live, tried_colors, stats, depth + 1)
+            if found is not None:
+                return found
+        stats.backtracks += 1
+    return None
+
+
+def _reference_chain(adjacency, live, colors, v, c, stats) -> bool:
+    """Color v with c, then each vertex whose live list shrank to one color,
+    the last forced first; False at the first conflict or empty list."""
+    forced: list[tuple[int, int]] = []
+    while True:
+        colors[v] = c
+        for w in adjacency[v]:
+            if w in colors:
+                if colors[w] == c:
+                    return False
+            elif c in live[w]:
+                live[w].discard(c)
+                if not live[w]:
+                    return False
+                if len(live[w]) == 1:
+                    stats.propagations += 1
+                    forced.append((w, min(live[w])))
+        while True:
+            if not forced:
+                return True
+            v, c = forced.pop()
+            if v not in colors:
+                break
+            if colors[v] != c:
+                return False

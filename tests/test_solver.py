@@ -33,6 +33,7 @@ from listcolor.solver import (
 )
 
 from conftest import uniform_lists
+from support import reference_solve
 
 
 class TestSolve:
@@ -197,6 +198,21 @@ class TestSearchIsPinned:
              (1565, 439, 2, 5, 0), (1580, 429, 3, 5, 0), (124, 41, 2, 5, 0),
              (657, 198, 2, 5, 0), (934, 301, 8, 5, 0)],
             "f9bb94ee52b589a4c152ddbededed78afd7ded8f70f79f589796bed3c6d47792",
+        ),
+        # k = 4: live lists of three sizes, and backtracking restores shrunk
+        # lists to full; trials 2, 4 and 7 are uncolorable
+        "km6666k4s6": (
+            lambda: complete_multipartite([6, 6, 6, 6]), 4, 6, 0, range(8),
+            [(24, 144, 24, 14, 0), (8, 40, 4, 7, 0), (50, 586, 106, 11, 0), (23, 202, 31, 10, 0),
+             (41, 467, 88, 11, 0), (15, 123, 16, 8, 0), (29, 295, 50, 7, 0), (32, 400, 70, 7, 0)],
+            "b4d25b5e8118ee6e1e8e71752d3c85df9d35782d6b82dc60d2536d0261be07e3",
+        ),
+        "pc400k4s7": (
+            lambda: power_cycle(400, 4), 4, 7, 0, range(8),
+            [(247, 167, 6, 245, 0), (246, 172, 7, 244, 0), (255, 156, 4, 254, 0),
+             (264, 138, 1, 264, 0), (258, 172, 14, 255, 0), (239, 173, 6, 238, 0),
+             (278, 148, 13, 273, 0), (264, 160, 13, 259, 0)],
+            "e0c80169d5b7e1abc454280f916e87873391d502058de61d8a1760321a34d271",
         ),
     }
 
@@ -384,12 +400,12 @@ class TestComponentsShareOneState:
 
 
 @st.composite
-def small_instances(draw):
-    n = draw(st.integers(1, 7))
+def small_instances(draw, max_n=7, ks=(2, 3), max_sigma=lambda k: k + 2):
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     edges = [e for e in pairs if draw(st.booleans())]
-    k = draw(st.sampled_from((2, 3)))
-    sigma = draw(st.integers(k, k + 2))
+    k = draw(st.sampled_from(ks))
+    sigma = draw(st.integers(k, max_sigma(k)))
     lists = [
         tuple(sorted(draw(st.lists(st.integers(1, sigma), min_size=k, max_size=k, unique=True))))
         for _ in range(n)
@@ -405,6 +421,18 @@ def test_solver_agrees_with_brute_force(instance):
     assert result.colorable == brute_force_colorable(g, a)
     if result.colorable:
         assert verify_coloring(g, a, result.coloring)
+
+
+@given(small_instances(8, (2, 3, 4), lambda k: 2 * k))
+@settings(max_examples=400, deadline=None)
+def test_search_agrees_with_the_reference_search(instance):
+    # every pick, count and witness of the kernel is that of a plain
+    # recursive search with a full minimum scan
+    g, a = instance
+    result, expected = solve(g, a), reference_solve(g, a)
+    assert (result.status, result.stats, result.coloring, result.component) == (
+        expected.status, expected.stats, expected.coloring, expected.component
+    )
 
 
 @given(small_instances())
