@@ -234,9 +234,12 @@ def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResul
     # flat undo log: ~v for an assignment of v, then w, bit for each removal
     # of position bit from live[w]
     trail: list[int] = []
-    # Lazy MRV heap: every uncolored vertex of the component has an entry
-    # (size[u], u); entries of colored vertices or of stale sizes are
-    # skipped on pop.
+    # A full list (size k) is the MRV pick only when no uncolored vertex has
+    # a shrunk one, and then it is the first uncolored vertex of the
+    # ascending component: a cursor into it finds that one, and the lazy
+    # heap holds (size[u], u) only for uncolored u with 1 < size[u] < k; its
+    # entries of colored vertices or of stale sizes are skipped on pop.  At
+    # k = 2 every shrink forces, so the heap stays empty.
     heap: list[tuple[int, int]] = []
 
     def assign_chain(v, c) -> bool:
@@ -296,14 +299,16 @@ def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResul
             switch_at = nodes + _SWITCH_BASE + _SWITCH_PER_VERTEX * size_c
             colored = 0
             trail.clear()
-            heap = [(k, u) for u in comp]
-            heapify(heap)
+            heap = []
+            cur = 0  # no uncolored vertex of comp[:cur] has a full list
 
             # One frame per branching vertex: [vertex, mask of its untried
-            # live positions, trail length before its tries].  The next
-            # vertex is the uncolored one minimizing (size[u], u), colors are
-            # tried in ascending order: the order of a chronological
-            # recursive search.
+            # live positions, trail length and cursor before its tries].
+            # The next vertex is the uncolored one minimizing (size[u], u),
+            # colors are tried in ascending order: the order of a
+            # chronological recursive search.  Rolling the trail back to a
+            # frame's mark restores the state the frame was made in, so the
+            # cursor is restored with it.
             frames: list[list[int]] = []
             descend = True
             while True:
@@ -312,12 +317,16 @@ def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResul
                         break
                     if len(heap) > 2 * size_c:
                         # stale entries pile up in long searches; keep memory flat
-                        heap = [(size[u], u) for u in comp if not col[u]]
+                        heap = [(size[u], u) for u in comp if not col[u] and size[u] < k]
                         heapify(heap)
-                    while True:
+                    while heap:
                         s, v = heappop(heap)
                         if not col[v] and size[v] == s:
                             break
+                    else:  # every uncolored vertex has a full list
+                        while col[comp[cur]]:
+                            cur += 1
+                        v = comp[cur]
                     nodes += 1
                     if deadline is not None and time.monotonic() > deadline:
                         raise SolveTimeout("solver deadline expired")
@@ -331,27 +340,29 @@ def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResul
                             for u, c in coloring.items():
                                 col[u] = c
                             break
-                    frame = [v, live[v], len(trail)]
+                    untried = live[v]
+                    frame = [v, untried, len(trail), cur]
                     frames.append(frame)
                     if len(frames) > max_depth:
                         max_depth = len(frames)
                 else:
                     frame = frames[-1]
-                    mark = frame[2]  # roll the trail back to the frame's mark
-                    while len(trail) > mark:
+                    v, untried, mark, cur = frame
+                    while len(trail) > mark:  # roll the trail back to the mark
                         x = trail.pop()
                         if x < 0:
                             u = ~x
                             col[u] = 0
                             colored -= 1
-                            heappush(heap, (size[u], u))
+                            if 1 < size[u] < k:
+                                heappush(heap, (size[u], u))
                         else:
                             u = trail.pop()
                             live[u] |= x
                             s = size[u] = size[u] + 1
-                            heappush(heap, (s, u))
+                            if 1 < s < k:
+                                heappush(heap, (s, u))
                     backtracks += 1
-                v, untried, _ = frame
                 if not untried:
                     frames.pop()
                     if not frames:
