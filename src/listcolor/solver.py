@@ -6,18 +6,22 @@ zero a backtrack) and minimum-remaining-values ordering, ties broken by
 vertex id.  Components are searched one after another, each on its own,
 but on one state made once per call: flat lists indexed by vertex id of
 live masks, live counts and colors (0 while uncolored), which a component
-touches only at its own vertices; each component gets a fresh heap, frames
-and trail.  Color symmetry is NOT broken: lists distinguish colors.
+touches only at its own vertices; each component gets a fresh cursor, heap,
+frames and trail.  Color symmetry is NOT broken: lists distinguish colors.
 
 The search is iterative, a loop over an explicit stack of frames, so its
 depth is limited by memory only, never by the interpreter's recursion limit.
-The next vertex comes from a binary heap of (live list size, vertex id)
-entries that is invalidated lazily; it is the vertex a full minimum scan
-would pick, and colors are tried in ascending order.  `SolveStats` counts
-search nodes, forced propagations, backtracks (tries undone after a
-failure) and the deepest frame stack.  The deadline is read once per node.
-At k = 1 every list is a forced singleton, so the propagation alone decides
-the component and no node is searched.
+The next vertex is the one a full minimum scan over (live list size,
+vertex id) would pick, and colors are tried in ascending order.  A vertex
+with a full list is that pick only when no uncolored vertex has a shrunk
+one, and then it is the smallest uncolored id, which a cursor over the
+component's ascending ids finds; a backtrack restores the cursor with the
+rest of the state.  Shrunk lists alone go into a lazily invalidated heap of
+(size, id) entries; at k = 2, where every shrink forces, it stays empty.
+`SolveStats` counts search nodes, forced propagations, backtracks (tries
+undone after a failure) and the deepest frame stack.  The deadline is read
+once per node.  At k = 1 every list is a forced singleton, so the
+propagation alone decides the component and no node is searched.
 
 The search state is indexed by list positions, never by color values: a
 vertex's live colors are a bitmask whose bit i stands for the i-th color of
@@ -216,10 +220,11 @@ def solve(g: Graph, assignment: ListAssignment, deadline: float | None = None) -
 def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResult:
     """UNCOLORABLE naming the first of `comps` that is not colorable from
     its lists, or COLORABLE with a coloring of all of them; the neighbors
-    of each vertex v of a component are `adjacency[v]`.
+    of each vertex v of a component (ascending ids) are `adjacency[v]`.
 
     The components are searched in order on one state indexed by vertex id,
-    made once per call; each component gets a fresh heap, frames and trail.
+    made once per call; each component gets a fresh cursor, heap, frames and
+    trail.
     """
     lists, k, n = assignment.lists, assignment.k, len(assignment.lists)
     # live[v]: bit i set iff lists[v][i] is still live (lists are sorted, so
@@ -234,12 +239,10 @@ def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResul
     # flat undo log: ~v for an assignment of v, then w, bit for each removal
     # of position bit from live[w]
     trail: list[int] = []
-    # A full list (size k) is the MRV pick only when no uncolored vertex has
-    # a shrunk one, and then it is the first uncolored vertex of the
-    # ascending component: a cursor into it finds that one, and the lazy
-    # heap holds (size[u], u) only for uncolored u with 1 < size[u] < k; its
-    # entries of colored vertices or of stale sizes are skipped on pop.  At
-    # k = 2 every shrink forces, so the heap stays empty.
+    # Lazy MRV heap of (size[u], u) for uncolored u with 1 < size[u] < k;
+    # entries of colored vertices or of stale sizes are skipped on pop.  A
+    # full list is picked only when no heap entry is live, from the cursor.
+    # At k = 2 every shrink forces, so the heap stays empty.
     heap: list[tuple[int, int]] = []
 
     def assign_chain(v, c) -> bool:
@@ -303,12 +306,11 @@ def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResul
             cur = 0  # no uncolored vertex of comp[:cur] has a full list
 
             # One frame per branching vertex: [vertex, mask of its untried
-            # live positions, trail length and cursor before its tries].
-            # The next vertex is the uncolored one minimizing (size[u], u),
-            # colors are tried in ascending order: the order of a
-            # chronological recursive search.  Rolling the trail back to a
-            # frame's mark restores the state the frame was made in, so the
-            # cursor is restored with it.
+            # live positions, trail length and cursor before its tries]; the
+            # trail rolled back to its mark is the state the frame was made
+            # in, so the cursor is restored with it.  The next vertex is the
+            # uncolored one minimizing (size[u], u), colors are tried in
+            # ascending order: the order of a chronological recursive search.
             frames: list[list[int]] = []
             descend = True
             while True:
@@ -332,9 +334,8 @@ def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResul
                         raise SolveTimeout("solver deadline expired")
                     if nodes > switch_at:
                         switch_at = float("inf")  # the width is computed once
-                        order = sorted(comp)
-                        if k ** _frontier_width(order, adjacency) <= _DP_MAX_STATES:
-                            coloring = _frontier_dp(order, adjacency, assignment, stats, deadline)
+                        if k ** _frontier_width(comp, adjacency) <= _DP_MAX_STATES:
+                            coloring = _frontier_dp(comp, adjacency, assignment, stats, deadline)
                             if coloring is None:
                                 return SolveResult(UNCOLORABLE, None, stats, comp)
                             for u, c in coloring.items():
