@@ -5,9 +5,10 @@ Determinism contract: every trial's random stream is a pure function of
 (config base seed, n, k, sigma, trial index), aggregation is a fold in
 trial-index order, and records.csv is sorted by (n, sigma, trial_index) --
 so reruns and different worker counts produce byte-identical CSV as long as
-no wall-clock timeout fires.  Past a fixed node count the solver decides a
-component with an exact frontier DP, so a timeout can fire only on a
-component whose frontier is too wide for it.  Per-trial wall times are kept
+no wall-clock timeout fires.  Past a fixed node count the solver runs an
+exact frontier DP on the component once, so a timeout can fire only while
+it runs (about 8 bytes per state built) or after it gives up, at one step
+past 16,384 states, as on K_{200,200} at k = 3.  Per-trial wall times are kept
 out of the CSV to keep it byte-identical (they live in summary.json as
 per-point means).
 

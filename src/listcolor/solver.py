@@ -33,15 +33,17 @@ the same search on sets of colors.
 
 The search has a fixed switch point against its heavy tail.  Once a
 component's search has spent more than 1000 + 4|C| nodes (a search that
-never backtracks uses at most |C|), the component's frontier width w is
-computed in ascending-id order: the most processed vertices that still have
-an unprocessed neighbor (2r for `power_cycle(n, r)`).  If k^w <= 4096 the
-search is dropped and a frontier DP decides the component exactly: it keeps
-the set of proper colorings of the frontier, step by step, and rebuilds a
-witness from per-step back-pointers, which goes into the color list.
-Otherwise the search goes on where it stopped.  `SolveStats.nodes` counts
-search nodes only, `dp_states` the states the DP built; every instance
-decided before the switch point is searched exactly as without it.
+never backtracks uses at most |C|), a frontier DP runs on the component,
+once: it processes the vertices in ascending-id order, keeps the set of
+proper colorings of the frontier (the processed vertices that still have an
+unprocessed neighbor), and rebuilds a witness from per-step back-pointers,
+which goes into the color list.  Its memory is about 8 bytes per state
+built, bounded in practice by the deadline.  It gives up as soon as one
+step holds more than 16,384 states (as on K_{200,200} at k = 3); the DP
+only reads the lists and the adjacency, so the search then goes on where it
+stopped.  `SolveStats.nodes` counts search nodes only, `dp_states` the
+states of the DP's finished steps; every instance decided before the switch
+point is searched exactly as without it.
 
 `solve` searches components up to the first uncolorable one, which its
 result names; `extract_critical` starts there and searches each candidate
@@ -73,11 +75,12 @@ UNCOLORABLE = "UNCOLORABLE"
 # in certificate contexts where the root stays uncolored.
 Coloring = dict[int, int]
 
-# The search of a component C switches to the frontier DP after more than
-# _SWITCH_BASE + _SWITCH_PER_VERTEX * |C| nodes, if k^w <= _DP_MAX_STATES.
+# The search of a component C runs the frontier DP after more than
+# _SWITCH_BASE + _SWITCH_PER_VERTEX * |C| nodes; the DP gives up once one
+# step holds more than _DP_MAX_STATES states.
 _SWITCH_BASE = 1000
 _SWITCH_PER_VERTEX = 4
-_DP_MAX_STATES = 4096
+_DP_MAX_STATES = 1 << 14
 
 
 @dataclass
@@ -120,24 +123,11 @@ def require_lists_for(g: Graph, assignment: ListAssignment) -> None:
         raise InvalidParameterError("assignment must define a list for every vertex")
 
 
-def _frontier_width(order, adjacency) -> int:
-    """Largest number of processed vertices with an unprocessed neighbor
-    while the vertices of a component are processed in ascending order."""
-    leaving: dict[int, int] = {}
-    size = width = 0
-    for v in order:
-        last = max(adjacency[v], default=v)
-        if last > v:
-            size += 1
-            leaving[last] = leaving.get(last, 0) + 1
-        size -= leaving.pop(v, 0)
-        width = max(width, size)
-    return width
-
-
-def _frontier_dp(order, adjacency, assignment, stats, deadline) -> Coloring | None:
+def _frontier_dp(order, adjacency, assignment, stats, deadline) -> Coloring | None | bool:
     """Decide a component exactly by processing `order` (ascending ids) and
-    keeping the set of proper colorings of the frontier.
+    keeping the set of proper colorings of the frontier: a coloring, or None
+    if there is none.  Gives up, returning False, as soon as one step holds
+    more than _DP_MAX_STATES states.
 
     A state packs the frontier's colors into one int, one bit field per
     frontier slot holding 1 + the color's index in its list (0: slot free).
@@ -154,7 +144,7 @@ def _frontier_dp(order, adjacency, assignment, stats, deadline) -> Coloring | No
             leavers.setdefault(last, []).append(u)
     joins = {u for group in leavers.values() for u in group}  # have a later neighbor
     shift: dict[int, int] = {}  # frontier vertex -> offset of its field
-    free = [i * bits for i in range(_frontier_width(order, adjacency))]
+    free: list[int] = []  # offsets of released slots
     states = [0]
     steps = []
     for v in order:
@@ -166,7 +156,7 @@ def _frontier_dp(order, adjacency, assignment, stats, deadline) -> Coloring | No
         keep = ~sum(mask << shift[u] for u in gone)
         free.extend(shift.pop(u) for u in gone)
         if v in joins:
-            own = shift[v] = free.pop()
+            own = shift[v] = free.pop() if free else bits * len(shift)
         else:
             own = None
         # states that agree on v's earlier neighbors allow the same colors
@@ -192,6 +182,8 @@ def _frontier_dp(order, adjacency, assignment, stats, deadline) -> Coloring | No
                 if nxt not in index:
                     index[nxt] = len(back)
                     back.append(parent * k + i)
+            if len(back) > _DP_MAX_STATES:
+                return False
         if not index:
             return None
         stats.dp_states += len(index)
@@ -333,11 +325,11 @@ def _solve_components(comps, adjacency, assignment, deadline=None) -> SolveResul
                     if deadline is not None and time.monotonic() > deadline:
                         raise SolveTimeout("solver deadline expired")
                     if nodes > switch_at:
-                        switch_at = float("inf")  # the width is computed once
-                        if k ** _frontier_width(comp, adjacency) <= _DP_MAX_STATES:
-                            coloring = _frontier_dp(comp, adjacency, assignment, stats, deadline)
-                            if coloring is None:
-                                return SolveResult(UNCOLORABLE, None, stats, comp)
+                        switch_at = float("inf")  # the DP runs once
+                        coloring = _frontier_dp(comp, adjacency, assignment, stats, deadline)
+                        if coloring is None:
+                            return SolveResult(UNCOLORABLE, None, stats, comp)
+                        if coloring is not False:
                             for u, c in coloring.items():
                                 col[u] = c
                             break

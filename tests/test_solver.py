@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import time
 import tracemalloc
 from dataclasses import astuple
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listcolor import solver
@@ -298,21 +299,48 @@ class TestFrontierFallback:
             decided.add(result.status)
         assert decided == {COLORABLE, UNCOLORABLE}
 
-    def test_wide_frontier_keeps_searching(self, monkeypatch):
-        # K_{8,8} in ascending order has a frontier of 8 vertices: 3^8 > 4096
+    def test_wide_frontier_within_the_cap_is_decided(self, monkeypatch):
+        # K_{8,8} in ascending order has a frontier of 8 vertices; its
+        # largest step holds 3^8 states, under the cap
         g = complete_multipartite([8, 8])
+        a = sample_assignment(g, 3, 4, SeedSpec(5, 0))
+        force_switch(monkeypatch)
+        result = solve(g, a)
+        assert (result.stats.nodes, result.stats.dp_states) == (1, 15049)
+        assert result.colorable and verify_coloring(g, a, result.coloring)
+
+    def test_wide_frontier_keeps_searching(self, monkeypatch):
+        # on K_{10,10} the DP stops inside step 9, where 3^9 > 2^14 states;
+        # dp_states counts the 3 + 9 + ... + 3^8 states of its finished steps
+        g = complete_multipartite([10, 10])
         a = sample_assignment(g, 3, 4, SeedSpec(5, 0))
         plain = solve(g, a)
         force_switch(monkeypatch)
         forced = solve(g, a)
-        assert forced.stats.nodes > 1 and forced.stats.dp_states == 0
-        assert (forced.status, forced.coloring, forced.stats) == (
-            plain.status, plain.coloring, plain.stats
+        assert forced.stats.dp_states == 9840
+        assert (forced.status, forced.coloring, astuple(forced.stats)[:4]) == (
+            plain.status, plain.coloring, astuple(plain.stats)[:4]
         )
+        assert forced.colorable and verify_coloring(g, a, forced.coloring)
 
-    def test_frontier_width_of_a_power_cycle(self):
-        g = power_cycle(50, 3)
-        assert solver._frontier_width(range(50), g.adjacency) == 6
+    # power_cycle(400, 4), k = 4, sigma = 6, SeedSpec(11, t): colorable
+    # trials whose largest DP step holds 2,072-4,543 states, far under
+    # k^w = 4^8; the search alone does not decide them in seconds
+    PC400K4S6 = {
+        2: (2601, 11928, 4926, 164, 784600),
+        14: (2601, 12328, 4924, 158, 1187716),
+        19: (2601, 15802, 4947, 145, 799819),
+        24: (2601, 13572, 4921, 165, 536618),
+    }
+
+    @pytest.mark.parametrize("trial", list(PC400K4S6))
+    def test_colorable_k4_tail_trials_are_decided(self, trial):
+        g = power_cycle(400, 4)
+        a = sample_assignment(g, 4, 6, SeedSpec(11, trial))
+        # about 1 s each; the deadline only keeps a search without the DP short
+        result = solve(g, a, deadline=time.monotonic() + 20)
+        assert astuple(result.stats) == self.PC400K4S6[trial]
+        assert result.colorable and verify_coloring(g, a, result.coloring)
 
 
 def disjoint_union(g1, a1, g2, a2):
@@ -400,16 +428,29 @@ class TestComponentsShareOneState:
 
 
 @st.composite
-def small_instances(draw, max_n=7, ks=(2, 3), max_sigma=lambda k: k + 2):
-    n = draw(st.integers(1, max_n))
+def small_instances(
+    draw,
+    order=st.integers(1, 7),
+    ks=(2, 3),
+    sigmas=lambda k: st.integers(k, k + 2),
+    edge=st.booleans(),
+    repeat=None,
+):
+    """A graph on `order` vertices, each pair an edge where `edge` draws
+    True, and k-lists over 1..sigma; where `repeat` (if given) draws True,
+    a vertex takes the list of the vertex before it."""
+    n = draw(order)
     pairs = list(itertools.combinations(range(n), 2))
-    edges = [e for e in pairs if draw(st.booleans())]
+    edges = [e for e in pairs if draw(edge)]
     k = draw(st.sampled_from(ks))
-    sigma = draw(st.integers(k, max_sigma(k)))
-    lists = [
-        tuple(sorted(draw(st.lists(st.integers(1, sigma), min_size=k, max_size=k, unique=True))))
-        for _ in range(n)
-    ]
+    sigma = draw(sigmas(k))
+    lists: list[tuple[int, ...]] = []
+    for _ in range(n):
+        if lists and repeat is not None and draw(repeat):
+            lists.append(lists[-1])
+        else:
+            colors = draw(st.lists(st.integers(1, sigma), min_size=k, max_size=k, unique=True))
+            lists.append(tuple(sorted(colors)))
     return Graph(n, edges), ListAssignment(sigma, k, lists)
 
 
@@ -423,7 +464,25 @@ def test_solver_agrees_with_brute_force(instance):
         assert verify_coloring(g, a, result.coloring)
 
 
-@given(small_instances(8, (2, 3, 4), lambda k: 2 * k))
+# 7 or 8 vertices, about three edges in four, and runs of equal lists: an
+# uncolorable clique of equal lists that propagation does not reach at
+# first makes the search backtrack through the kernel's cursor and heap
+@given(small_instances(
+    st.integers(7, 8), (2, 3), lambda k: st.integers(2 * k, 4 * k),
+    st.integers(0, 3).map(bool), st.integers(0, 2).map(bool),
+))
+# a triangle of equal lists at k = 2, found only after a backtrack: a search
+# that keeps its advanced cursor on backtrack skips vertex 1
+@example((
+    Graph(5, [(0, 4), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    ListAssignment(8, 2, [(7, 8), (7, 8), (4, 5), (4, 5), (4, 5)]),
+))
+# at k = 3 a vertex picked from the heap is uncolored again on backtrack
+# with a shrunk list, and must go back into the heap
+@example((
+    Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+    ListAssignment(6, 3, [(1, 3, 5), (1, 3, 5), (1, 2, 4), (1, 2, 4), (2, 3, 4)]),
+))
 @settings(max_examples=400, deadline=None)
 def test_search_agrees_with_the_reference_search(instance):
     # every pick, count and witness of the kernel is that of a plain
@@ -447,6 +506,36 @@ def test_frontier_dp_agrees_with_brute_force(instance):
         assert verify_coloring(g, a, result.coloring)
     if result.stats.nodes:
         assert result.stats.dp_states > 0
+
+
+@given(small_instances())
+@settings(max_examples=300, deadline=None)
+def test_a_capped_frontier_dp_resumes_the_search(instance):
+    # with a cap of 4 states per step the DP gives up on some component of
+    # about a third of these instances; where it gives up on every one, the
+    # search runs as if the DP never started
+    g, a = instance
+    gave_up = []
+    dp = solver._frontier_dp
+
+    def recording(*args):
+        coloring = dp(*args)
+        gave_up.append(coloring is False)
+        return coloring
+
+    with pytest.MonkeyPatch.context() as mp:
+        force_switch(mp)
+        mp.setattr(solver, "_DP_MAX_STATES", 4)
+        mp.setattr(solver, "_frontier_dp", recording)
+        result = solve(g, a)
+    assert result.colorable == brute_force_colorable(g, a)
+    if result.colorable:
+        assert verify_coloring(g, a, result.coloring)
+    if all(gave_up):
+        plain = solve(g, a)
+        assert (result.status, result.coloring, result.component, astuple(result.stats)[:4]) == (
+            plain.status, plain.coloring, plain.component, astuple(plain.stats)[:4]
+        )
 
 
 class TestVerifyColoring:
