@@ -687,36 +687,22 @@ def is_tree_bad(
     nb = tree.tree_neighbors()
     colored = sorted(v for v in tree.vertices if v != tree.root)
     adj = {v: tuple(w for w in nb[v] if w != tree.root) for v in colored}
-    depth_root = tree.depths_from(tree.root)
+    depths = [tree.depths_from(tree.root)]
+    if tree.parity == EVEN:
+        depths.append(tree.depths_from(tree.semiroot))
+    top = (tree.girth - 3) // 2  # the internal depths; (girth - 4) // 2 at even girth
 
     def conditions(phi) -> bool:
         if set(assignment[tree.root]) != {phi[x] for x in nb[tree.root]}:
             return False
-        if tree.parity == ODD:
-            top = (tree.girth - 3) // 2
-            for x in colored:
-                d = depth_root[x]
+        for x in colored:
+            for depth in depths:
+                d = depth[x]
                 if 1 <= d <= top:
                     want = set(assignment[x]) - {phi[x]}
-                    got = {phi[y] for y in nb[x] if depth_root[y] == d + 1}
+                    got = {phi[y] for y in nb[x] if depth[y] == d + 1}
                     if want != got:
                         return False
-            return True
-        top = (tree.girth - 4) // 2
-        depth_semi = tree.depths_from(tree.semiroot)
-        for x in colored:
-            d = depth_root[x]
-            if 1 <= d <= top:
-                want = set(assignment[x]) - {phi[x]}
-                got = {phi[y] for y in nb[x] if depth_root[y] == d + 1}
-                if want != got:
-                    return False
-            d = depth_semi[x]
-            if 1 <= d <= top:
-                want = set(assignment[x]) - {phi[x]}
-                got = {phi[y] for y in nb[x] if depth_semi[y] == d + 1}
-                if want != got:
-                    return False
         return True
 
     scanned = 0

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 from .errors import ListColorError
 
-ROUNDING_MODES = ("floor", "ceil", "round")
-
 
 class ScalingParseError(ListColorError):
     def __init__(self, offset: int, message: str):
