@@ -19,7 +19,9 @@ stream is one fork Pool per n, of at most one worker per trial, whose
 workers inherit the graph and its connected components, computed just
 before the fork (the graph is an initializer argument, which fork does not
 pickle); each job carries only the trial's seed coordinates, and a worker
-that finishes one cell's trials goes on to the next cell's.  At one worker
+that finishes one cell's trials goes on to the next cell's.  A stream closed
+early (a cell that raises, Ctrl-C) lets its workers finish the trials they
+hold and exit; no worker is killed.  At one worker
 the trials run in-process, each as its record is drawn.  Each trial's lists
 come from `sample_assignment`, whose draws replay `random.sample` exactly,
 so records.csv keeps its stream.  A trial that raises an unexpected
@@ -38,6 +40,7 @@ import io
 import itertools
 import json
 import math
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -264,17 +267,23 @@ def _run_trial(g: Graph, job: tuple) -> TrialRecord:
     )
 
 
-# The graph of the current Pool, set in each Pool worker by _init_worker;
-# the in-process stream passes its graph directly and never sets it.
+# The graph of the current Pool and its stop flag, set in each Pool worker
+# by _init_worker; the in-process stream passes its graph directly and never
+# sets them.
 _worker_graph: Graph | None = None
+_worker_stop = None
 
 
-def _init_worker(g: Graph) -> None:
-    global _worker_graph
-    _worker_graph = g
+def _init_worker(g: Graph, stop) -> None:
+    global _worker_graph, _worker_stop
+    # Ctrl-C stops the parent, which then lets the workers exit on their own
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_graph, _worker_stop = g, stop
 
 
-def _run_worker_trial(job: tuple) -> TrialRecord:
+def _run_worker_trial(job: tuple) -> TrialRecord | None:
+    if _worker_stop.is_set():  # the stream was closed: skip the jobs left
+        return None
     return _run_trial(_worker_graph, job)
 
 
@@ -291,8 +300,10 @@ def _trial_records(g: Graph, jobs: list, workers: int) -> Iterator[TrialRecord]:
 
     With one worker or one job each trial runs in this process as its record
     is drawn.  Otherwise one fork Pool of min(workers, len(jobs)) workers
-    runs them all; its workers inherit `g` with its components, and it is
-    shut down when the stream is exhausted or closed.
+    runs them all; its workers inherit `g` with its components.  When the
+    stream is exhausted or closed, the workers finish the trials they hold,
+    skip the jobs left, and exit before the pool is left: Pool.terminate can
+    hang for good if it kills a worker that holds the result queue's lock.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:
@@ -302,10 +313,17 @@ def _trial_records(g: Graph, jobs: list, workers: int) -> Iterator[TrialRecord]:
     import multiprocessing
 
     connected_components(g)  # once, here: the forked workers inherit it
-    with multiprocessing.get_context("fork").Pool(workers, _init_worker, (g,)) as pool:
-        yield from pool.imap(
-            _run_worker_trial, jobs, chunksize=max(1, len(jobs) // (4 * workers))
-        )
+    context = multiprocessing.get_context("fork")
+    stop = context.Event()
+    with context.Pool(workers, _init_worker, (g, stop)) as pool:
+        try:
+            yield from pool.imap(
+                _run_worker_trial, jobs, chunksize=max(1, len(jobs) // (4 * workers))
+            )
+        finally:
+            stop.set()
+            pool.close()
+            pool.join()
 
 
 def run_point(

@@ -342,6 +342,26 @@ class TestSweep:
             sweep(small_config(workers=2))
         assert multiprocessing.active_children() == []
 
+    def test_a_closed_stream_kills_no_worker(self, monkeypatch):
+        """Pool.terminate can hang for good if it kills a worker that holds
+        the result queue's lock, so a stream closed after its first record
+        lets every worker exit before the pool is left."""
+        alive = []
+        real_terminate = multiprocessing.pool.Pool.terminate
+
+        def recording_terminate(pool):
+            alive.append([p.pid for p in pool._pool if p.exitcode is None])
+            real_terminate(pool)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", recording_terminate)
+        g = small_config().family.build(12)
+        jobs = harness._point_jobs(12, 2, 3, 400, 4242, 5.0, ())
+        stream = harness._trial_records(g, jobs, 2)
+        assert next(stream).trial_index == 0
+        stream.close()
+        assert alive == [[]]
+        assert multiprocessing.active_children() == []
+
     def test_records_sorted_and_versioned(self, tmp_path):
         result = sweep(small_config(trials=10))
         records_path, summary_path = result.write(tmp_path)
