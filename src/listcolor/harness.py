@@ -21,7 +21,8 @@ before the fork (the graph is an initializer argument, which fork does not
 pickle); each job carries only the trial's seed coordinates, and a worker
 that finishes one cell's trials goes on to the next cell's.  A stream closed
 early (a cell that raises, Ctrl-C) lets its workers finish the trials they
-hold and exit; no worker is killed.  At one worker
+hold and exit; no worker is killed, so with no timeout that wait has no
+bound.  At one worker
 the trials run in-process, each as its record is drawn.  Each trial's lists
 come from `sample_assignment`, whose draws replay `random.sample` exactly,
 so records.csv keeps its stream.  A trial that raises an unexpected
@@ -304,6 +305,8 @@ def _trial_records(g: Graph, jobs: list, workers: int) -> Iterator[TrialRecord]:
     stream is exhausted or closed, the workers finish the trials they hold,
     skip the jobs left, and exit before the pool is left: Pool.terminate can
     hang for good if it kills a worker that holds the result queue's lock.
+    With timeout_seconds None a held trial has no deadline, so neither has
+    this wait; a second Ctrl-C leaves it through Pool.terminate.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:

@@ -464,12 +464,16 @@ def test_solver_agrees_with_brute_force(instance):
         assert verify_coloring(g, a, result.coloring)
 
 
-# 7 or 8 vertices, about three edges in four, and runs of equal lists: an
+# Up to 8 vertices at k = 2, 3, 4 and sigma k..2k, or, biased, 7 or 8
+# vertices, about three edges in four, and runs of equal lists: an
 # uncolorable clique of equal lists that propagation does not reach at
 # first makes the search backtrack through the kernel's cursor and heap
-@given(small_instances(
-    st.integers(7, 8), (2, 3), lambda k: st.integers(2 * k, 4 * k),
-    st.integers(0, 3).map(bool), st.integers(0, 2).map(bool),
+@given(st.one_of(
+    small_instances(st.integers(1, 8), (2, 3, 4), lambda k: st.integers(k, 2 * k)),
+    small_instances(
+        st.integers(7, 8), (2, 3), lambda k: st.integers(2 * k, 4 * k),
+        st.integers(0, 3).map(bool), st.integers(0, 2).map(bool),
+    ),
 ))
 # a triangle of equal lists at k = 2, found only after a backtrack: a search
 # that keeps its advanced cursor on backtrack skips vertex 1
