@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -24,7 +26,7 @@ from listcolor.certificates import (
     is_tree_bad,
     proper_tree_size,
 )
-from listcolor.corpus import corpus_assignments, small_connected_graphs
+from listcolor.corpus import corpus_assignments, default_combos, small_connected_graphs
 from listcolor.errors import CertificateError, GuardExceededError, InvalidParameterError
 from listcolor.graphs import Graph, complete_multipartite, girth, petersen, power_cycle
 from listcolor.lists import ListAssignment
@@ -461,6 +463,39 @@ class TestProperTrees:
                 assert is_tree_bad(tree, a)[0]
                 tree.validate(g)
 
+    def test_tree_budget_spans_every_root(self):
+        # Petersen at k = 2 has 12 rooted trees at each of its 10 roots, and
+        # none of the 120 is tree-bad for these lists
+        g = petersen()
+        a = ListAssignment(5, 2, [(2, 4), (1, 5), (4, 5), (2, 3), (3, 5),
+                                  (3, 4), (2, 3), (2, 5), (1, 5), (1, 5)])
+        assert find_tree_bad(g, a, max_trees=120) is None
+        with pytest.raises(GuardExceededError, match="sequence search budget exhausted"):
+            find_tree_bad(g, a, max_trees=119)
+        # on K_{3,3} the 13th tree built is the first tree-bad one
+        g = complete_multipartite([3, 3])
+        a = ListAssignment(4, 2, [(1, 3), (2, 3), (2, 4), (2, 4), (2, 3), (2, 4)])
+        assert find_tree_bad(g, a, max_trees=13) == find_tree_bad(g, a)
+        with pytest.raises(GuardExceededError, match="sequence search budget exhausted"):
+            find_tree_bad(g, a, max_trees=12)
+
+    def test_tree_scan_budget_counts_colorings(self):
+        # the Petersen tree at root 0 has 2688 proper colorings from these
+        # lists and none is a witness; from the second lists the 2525th is
+        g = petersen()
+        tree = next(build_proper_trees(g, 3, 0, 5))
+        a = ListAssignment(4, 3, [(2, 3, 4), (1, 3, 4), (1, 3, 4), (1, 2, 4), (1, 3, 4),
+                                  (1, 3, 4), (1, 3, 4), (1, 2, 4), (2, 3, 4), (1, 3, 4)])
+        assert is_tree_bad(tree, a, max_colorings=2688) == (False, None)
+        with pytest.raises(GuardExceededError, match="tree coloring scan budget exhausted"):
+            is_tree_bad(tree, a, max_colorings=2687)
+        b = ListAssignment(4, 3, [(2, 3, 4), (1, 2, 3), (1, 2, 3), (2, 3, 4), (1, 3, 4),
+                                  (2, 3, 4), (1, 2, 3), (1, 3, 4), (1, 3, 4), (1, 2, 3)])
+        assert is_tree_bad(tree, b, max_colorings=2525) == is_tree_bad(tree, b)
+        assert is_tree_bad(tree, b)[0]
+        with pytest.raises(GuardExceededError, match="tree coloring scan budget exhausted"):
+            is_tree_bad(tree, b, max_colorings=2524)
+
 
 class TestLemmaImplicationsSmall:
     """Reduced oracle suites; the full-corpus versions are acceptance
@@ -525,6 +560,38 @@ class TestLemmaImplicationsSmall:
             assert girth(g) > 3
             tree = find_tree_bad(g, a)
             assert tree is not None and is_tree_bad(tree, a)[0]
+
+
+class TestCertificatesArePinned:
+    # sha256 over the atlas corpus (996 graphs, 10 assignments each over
+    # default_combos() at base seed 5): for every uncolorable instance and
+    # every kind that can apply, one line "gi ai kind doc", where doc is the
+    # JSON of the certificate `certify` finds with its checker's witness,
+    # "none" when nothing is found, or the class of the exception raised.
+    CERTIFICATES_SHA256 = (8002, "3ab2f15ff50535b57e61a21f54f4e010fdf849bf54fc054347062525e8854bcd")
+
+    def test_certificates_digest_is_pinned(self):
+        lines = []
+        for gi, g in enumerate(small_connected_graphs(7)):
+            for ai, a in corpus_assignments(g, gi, 10, default_combos(), 5):
+                solved = solve(g, a)
+                if solved.colorable:
+                    continue
+                for kind in certs.CERTIFICATE_KINDS.values():
+                    if kind.obstacle(a.k, g) is not None:
+                        continue
+                    try:
+                        found = certs.certify(g, a, (kind.name,), solved)
+                        if found is None:
+                            doc = "none"
+                        else:
+                            _, witness = kind.check(g, a, found[1])
+                            doc = json.dumps(certificate_to_json(found[1], witness), sort_keys=True)
+                    except Exception as exc:  # noqa: BLE001 -- the class is pinned
+                        doc = type(exc).__name__
+                    lines.append(f"{gi} {ai} {kind.name} {doc}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == self.CERTIFICATES_SHA256
 
 
 class TestCertificateJson:
