@@ -33,7 +33,6 @@ from .certificates import (
     build_proper_trees,
     certificate_to_json,
     find_2bad_pair,
-    find_alternating_paths,
     find_bad_triple,
     find_tree_bad,
     is_2bad_pair,

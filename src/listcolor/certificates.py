@@ -35,22 +35,32 @@ LOLLIPOP = "lollipop"
 ODD = "odd"
 EVEN = "even"
 
+# The guards of the searches, one decision for all three kinds: triples are
+# searched on at most _MAX_TRIPLE vertices, and every step search (pair
+# states, trees built over all roots, colorings scanned per tree) stops
+# after _MAX_STEPS steps.  A search past its guard raises GuardExceededError
+# instead of under-reporting.
+_MAX_TRIPLE = 12
+_MAX_STEPS = 10**6
+
+
+class _Budget:
+    """_MAX_STEPS steps of one search; the next raises with `message`."""
+
+    __slots__ = ("left", "message")
+
+    def __init__(self, message: str = "sequence search budget exhausted"):
+        self.left = _MAX_STEPS
+        self.message = message
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise GuardExceededError(self.message)
+
 
 # ---------------------------------------------------------------------------
 # alternating paths and rank functions
-
-
-def _validate_root_deleted_coloring(g, assignment, coloring, origin):
-    expected = set(range(g.n)) - {origin}
-    if set(coloring) != expected:
-        raise CertificateError("coloring must cover exactly the graph minus the origin")
-    for v in expected:
-        if coloring[v] not in assignment[v]:
-            raise CertificateError(f"vertex {v} colored outside its list")
-    for u in expected:
-        for v in g.adjacency[u]:
-            if u < v and v != origin and coloring[u] == coloring[v]:
-                raise CertificateError(f"edge {u}-{v} is monochromatic")
 
 
 def _alt_distances(adj, assignment, coloring, origin) -> dict[int, int]:
@@ -67,19 +77,6 @@ def _alt_distances(adj, assignment, coloring, origin) -> dict[int, int]:
                 dist[x] = dist[w] + 1
                 queue.append(x)
     return dist
-
-
-def find_alternating_paths(
-    g: Graph, assignment: ListAssignment, coloring: Coloring, origin: int
-) -> dict[int, int]:
-    """Shortest alternating-path length from `origin` for every reachable
-    vertex; the origin itself sits at distance 0.
-
-    `coloring` must be a proper list coloring of the graph minus the origin
-    (validated; violations raise CertificateError).
-    """
-    _validate_root_deleted_coloring(g, assignment, coloring, origin)
-    return _alt_distances(g.adjacency, assignment, coloring, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +173,22 @@ def _swap_condition_holds(vs, root, adj, assignment, phi, rank) -> bool:
     return True
 
 
+def _qualifying_ranks(vs, root, adj, assignment) -> Iterator[tuple[Coloring, dict[int, int]]]:
+    """(phi, rank) for every proper list coloring phi of F minus the root, in
+    enumeration order, that witnesses badness: its alternating distances
+    from the root reach all of F (they are the rank), every color of the
+    root's list sits on a root neighbor, and the swap condition holds.
+    phi is live: copy it before storing."""
+    others = sorted(v for v in vs if v != root)
+    for phi in _proper_colorings(others, adj, assignment):
+        dist = _alt_distances(adj, assignment, phi, root)
+        if (len(dist) == len(vs) and _root_sees_all_colors(root, adj, assignment, phi)
+                and _swap_condition_holds(vs, root, adj, assignment, phi, dist)):
+            yield phi, dist
+
+
 def is_bad_triple(
-    g: Graph, assignment: ListAssignment, triple: ProperTriple, max_size: int = 12
+    g: Graph, assignment: ListAssignment, triple: ProperTriple
 ) -> tuple[bool, Coloring | None]:
     """Decide badness of a proper triple, returning a witness coloring.
 
@@ -189,26 +200,20 @@ def is_bad_triple(
     """
     require_lists_for(g, assignment)
     triple.validate(g)
-    if triple.size > max_size:
-        raise GuardExceededError(f"triple has {triple.size} > {max_size} vertices")
+    if triple.size > _MAX_TRIPLE:
+        raise GuardExceededError(f"triple has {triple.size} > {_MAX_TRIPLE} vertices")
     vs = triple.vertices
     adj = _adj_within(g, vs)
     if _colorable_within(vs, adj, assignment):
         return False, None
-    others = sorted(v for v in vs if v != triple.root)
-    for phi in _proper_colorings(others, adj, assignment):
-        dist = _alt_distances(adj, assignment, phi, triple.root)
-        if len(dist) != len(vs) or dist != triple.rank:
-            continue
-        if not _root_sees_all_colors(triple.root, adj, assignment, phi):
-            continue
-        if _swap_condition_holds(vs, triple.root, adj, assignment, phi, dist):
+    for phi, rank in _qualifying_ranks(vs, triple.root, adj, assignment):
+        if rank == triple.rank:
             return True, dict(phi)
     return False, None
 
 
 def find_bad_triple(
-    g: Graph, assignment: ListAssignment, solved: SolveResult | None = None, max_core: int = 12
+    g: Graph, assignment: ListAssignment, solved: SolveResult | None = None
 ) -> ProperTriple | None:
     """A bad proper triple of an uncolorable instance, or None when the
     instance is colorable.
@@ -222,21 +227,14 @@ def find_bad_triple(
         vs, _ = extract_critical(g, assignment, solved)
     except CertificateError:  # no component is uncolorable
         return None
-    if len(vs) > max_core:
+    if len(vs) > _MAX_TRIPLE:
         raise GuardExceededError(
-            f"critical core has {len(vs)} vertices, above the guard {max_core}"
+            f"critical core has {len(vs)} vertices, above the guard {_MAX_TRIPLE}"
         )
     adj = _adj_within(g, vs)
     for root in vs:
-        others = sorted(v for v in vs if v != root)
-        for phi in _proper_colorings(others, adj, assignment):
-            dist = _alt_distances(adj, assignment, phi, root)
-            if len(dist) != len(vs):
-                continue
-            if not _root_sees_all_colors(root, adj, assignment, phi):
-                continue
-            if _swap_condition_holds(vs, root, adj, assignment, phi, dist):
-                return ProperTriple(vs, root, dist)
+        for _, rank in _qualifying_ranks(vs, root, adj, assignment):
+            return ProperTriple(vs, root, rank)
     return None
 
 
@@ -402,18 +400,6 @@ def is_2bad_pair(
     return False, None
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise GuardExceededError("sequence search budget exhausted")
-
-
 def _first_completion(g, assignment, start, second, c1, budget) -> OrderedSeq | None:
     """Depth-first extension of the color-forced chain from (start, second)
     with first color c1, returning the first ordered cycle or lollipop that
@@ -463,18 +449,16 @@ def _first_completion(g, assignment, start, second, c1, budget) -> OrderedSeq | 
             return None
 
 
-def find_2bad_pair(
-    g: Graph, assignment: ListAssignment, max_nodes: int = 10**6
-) -> ProperPair | None:
+def find_2bad_pair(g: Graph, assignment: ListAssignment) -> ProperPair | None:
     """A 2-bad proper pair if one exists, else None.
 
     The search is exhaustive: for every vertex and each of its two list
     colors it tries every admissible second vertex and extends the forced
-    color chain depth-first.  The budget bounds total search steps; running
-    out raises instead of under-reporting."""
+    color chain depth-first.  One budget bounds the states visited over the
+    whole search."""
     require_lists_for(g, assignment)
     _require_two_lists(assignment)
-    budget = _Budget(max_nodes)
+    budget = _Budget()
     for v in range(g.n):
         a, b = assignment[v]
         completions: dict[int, dict[int, OrderedSeq]] = {a: {}, b: {}}
@@ -570,56 +554,47 @@ class RootedProperTree:
         return dist
 
     def validate(self, g: Graph) -> None:
-        if self.size != proper_tree_size(self.k, self.girth):
-            raise CertificateError(
-                f"tree has {self.size} vertices, expected {proper_tree_size(self.k, self.girth)}"
-            )
+        """One shape rule for both parities.  The side depth of a vertex is
+        its tree distance to the nearer origin (the root, and the semiroot
+        on even trees).  The root has k children, counting the semiroot; any
+        other vertex has k-1 children up to side depth (girth-3)//2, and
+        none below that."""
+        if self.k < 2 or self.girth < 3:
+            raise CertificateError("rooted proper trees need k >= 2 and girth >= 3")
+        if self.parity != (ODD if self.girth % 2 else EVEN):
+            raise CertificateError(f"{self.parity!r} tree declared with girth {self.girth}")
+        if (self.semiroot is None) != (self.parity == ODD):
+            raise CertificateError("an even tree, and only an even tree, has a semiroot")
+        if self.root in self.parent:
+            raise CertificateError("the root has a parent")
+        if self.semiroot is not None and self.parent.get(self.semiroot) != self.root:
+            raise CertificateError("semiroot must hang off the root")
+        vertices = set(self.vertices)
         for c, p in self.parent.items():
+            if p not in vertices:
+                raise CertificateError(f"parent {p} of {c} is not a tree vertex")
             if not g.has_edge(c, p):
                 raise CertificateError(f"tree edge {c}-{p} missing from the graph")
         ch = self.children()
-        depth = self.depths_from(self.root)
-        if self.parity == ODD:
-            if self.girth % 2 == 0:
-                raise CertificateError("odd tree declared with even girth")
-            if len(ch[self.root]) != self.k:
-                raise CertificateError("odd tree root must have k children")
-            max_internal = (self.girth - 3) // 2
-            leaf_depth = (self.girth - 1) // 2
-            for v in self.vertices:
-                d = depth[v]
-                if v == self.root:
-                    continue
-                expected = self.k - 1 if d <= max_internal else 0
-                if len(ch[v]) != expected:
-                    raise CertificateError(
-                        f"vertex {v} at depth {d} has {len(ch[v])} children, expected {expected}"
-                    )
-                if d > leaf_depth:
-                    raise CertificateError(f"vertex {v} deeper than {leaf_depth}")
-        else:
-            if self.girth % 2:
-                raise CertificateError("even tree declared with odd girth")
-            if self.semiroot is None:
-                raise CertificateError("even tree needs a semiroot")
-            if self.parent.get(self.semiroot) != self.root:
-                raise CertificateError("semiroot must hang off the root")
-            side_depth = (self.girth - 2) // 2
-            u_depth = self.depths_from(self.semiroot)
-            root_children = [c for c in ch[self.root] if c != self.semiroot]
-            if len(root_children) != self.k - 1 or len(ch[self.semiroot]) != self.k - 1:
-                raise CertificateError("even tree roots must have k-1 children each")
-            for v in self.vertices:
-                if v in (self.root, self.semiroot):
-                    continue
-                # side depth: distance to the nearer of the two joined roots
-                own = min(depth[v], u_depth[v])
-                expected = self.k - 1 if own < side_depth else 0
-                if len(ch[v]) != expected:
-                    raise CertificateError(
-                        f"vertex {v} at side depth {own} has {len(ch[v])} children,"
-                        f" expected {expected}"
-                    )
+        origins = (self.root,) if self.semiroot is None else (self.root, self.semiroot)
+        side = dict.fromkeys(origins, 0)
+        queue = deque(origins)
+        while queue:
+            v = queue.popleft()
+            for c in ch[v]:
+                if c not in side:
+                    side[c] = side[v] + 1
+                    queue.append(c)
+        if len(side) != self.size:
+            raise CertificateError("parent links do not all lead to the root")
+        top = (self.girth - 3) // 2
+        for v in self.vertices:
+            want = self.k if v == self.root else self.k - 1 if side[v] <= top else 0
+            if len(ch[v]) != want:
+                raise CertificateError(
+                    f"vertex {v} at side depth {side[v]} has {len(ch[v])} children,"
+                    f" expected {want}"
+                )
 
 
 def _grow_levels(g, level, used, parent, branchings, budget) -> Iterator[dict[int, int]]:
@@ -646,12 +621,24 @@ def _grow_levels(g, level, used, parent, branchings, budget) -> Iterator[dict[in
     yield from assign(0, [], used)
 
 
+def _proper_trees(g, k, root, girth_value, budget) -> Iterator[RootedProperTree]:
+    """Every rooted k-proper tree at `root` for this girth, spending one step
+    of `budget` per tree.  The origins are (root,) at odd girth and
+    (root, semiroot) for each semiroot in ascending order at even girth; the
+    first level branches k + 1 - len(origins) ways from each origin, and
+    (girth - 1) // 2 - 1 more levels branch k - 1 ways."""
+    parity = ODD if girth_value % 2 else EVEN
+    semiroots = (None,) if parity == ODD else g.adjacency[root]
+    for semi in semiroots:
+        origins = (root,) if semi is None else (root, semi)
+        parent = {} if semi is None else {semi: root}
+        branchings = [k + 1 - len(origins)] + [k - 1] * ((girth_value - 1) // 2 - 1)
+        for tree_parent in _grow_levels(g, origins, set(origins), parent, branchings, budget):
+            yield RootedProperTree(parity, girth_value, k, root, semi, tree_parent)
+
+
 def build_proper_trees(
-    g: Graph,
-    k: int,
-    root: int,
-    girth_value: int | None = None,
-    max_trees: int = 10**6,
+    g: Graph, k: int, root: int, girth_value: int | None = None
 ) -> Iterator[RootedProperTree]:
     """All odd (odd girth) or even (even girth) rooted k-proper trees rooted
     at `root`; for even girth the semiroot iterates over the root's neighbors
@@ -661,24 +648,10 @@ def build_proper_trees(
         girth_value = girth(g)
     if girth_value == INFINITE_GIRTH:
         raise InvalidParameterError("rooted proper trees need a graph with finite girth")
-    gv = int(girth_value)
-    budget = _Budget(max_trees)
-    if gv % 2:
-        branchings = [k] + [k - 1] * ((gv - 3) // 2)
-        for parent in _grow_levels(g, (root,), {root}, {}, branchings, budget):
-            yield RootedProperTree(ODD, gv, k, root, None, parent)
-    else:
-        branchings = [k - 1] + [k - 1] * ((gv - 4) // 2)
-        for semi in g.adjacency[root]:
-            for parent in _grow_levels(
-                g, (root, semi), {root, semi}, {semi: root}, branchings, budget
-            ):
-                yield RootedProperTree(EVEN, gv, k, root, semi, parent)
+    yield from _proper_trees(g, k, root, int(girth_value), _Budget())
 
 
-def is_tree_bad(
-    tree: RootedProperTree, assignment: ListAssignment, max_colorings: int = 10**6
-) -> tuple[bool, Coloring | None]:
+def is_tree_bad(tree: RootedProperTree, assignment: ListAssignment) -> tuple[bool, Coloring | None]:
     """Decide tree-badness, returning a witness coloring of the tree minus
     its root: the root's list must equal its tree-neighbors' color set, and
     every internal vertex's non-own list colors must equal its children's
@@ -705,39 +678,30 @@ def is_tree_bad(
                         return False
         return True
 
-    scanned = 0
+    budget = _Budget("tree coloring scan budget exhausted")
     for phi in _proper_colorings(colored, adj, assignment):
-        scanned += 1
-        if scanned > max_colorings:
-            raise GuardExceededError("tree coloring scan budget exhausted")
+        budget.spend()
         if conditions(phi):
             return True, dict(phi)
     return False, None
 
 
-def find_tree_bad(
-    g: Graph,
-    assignment: ListAssignment,
-    k: int | None = None,
-    max_trees: int = 10**6,
-) -> RootedProperTree | None:
+def find_tree_bad(g: Graph, assignment: ListAssignment) -> RootedProperTree | None:
     """Search every root (and semiroot, for even girth) for a tree-bad
-    rooted k-proper tree; None when no tree qualifies within the guards.
-    Rooted proper trees need k >= 2."""
+    rooted k-proper tree, k = assignment.k; None when no tree qualifies.
+    One budget bounds the trees built over all roots.  Rooted proper trees
+    need k >= 2."""
     require_lists_for(g, assignment)
-    if k is None:
-        k = assignment.k
+    k = assignment.k
     if k < 2:
         raise InvalidParameterError(f"tree certificates need k >= 2, got k={k}")
     gv = girth(g)
     if gv == INFINITE_GIRTH:
         raise InvalidParameterError("tree certificates need a graph with finite girth")
-    budget = _Budget(max_trees)
+    budget = _Budget()
     for root in range(g.n):
-        for tree in build_proper_trees(g, k, root, int(gv), max_trees=budget.left + 1):
-            budget.spend()
-            ok, _ = is_tree_bad(tree, assignment)
-            if ok:
+        for tree in _proper_trees(g, k, root, int(gv), budget):
+            if is_tree_bad(tree, assignment)[0]:
                 return tree
     return None
 
@@ -773,6 +737,12 @@ class CertificateKind:
         return None
 
 
+def _check_tree(g, assignment, tree):
+    """is_tree_bad reads only the tree, so its kind validates it against g."""
+    tree.validate(g)
+    return is_tree_bad(tree, assignment)
+
+
 # In the order `listcolor certify --kind auto` tries them.  The lambdas look
 # the finders and checkers up when called, so a replaced module function is
 # the one that runs.
@@ -783,7 +753,7 @@ CERTIFICATE_KINDS = {kind.name: kind for kind in (
     CertificateKind("pair", "2bad-pair", ProperPair, lambda g, a, _: find_2bad_pair(g, a),
                     lambda g, a, cert: (is_2bad_pair(g, a, cert)[0], None)),
     CertificateKind("tree", "tree-bad", RootedProperTree, lambda g, a, _: find_tree_bad(g, a),
-                    lambda g, a, cert: is_tree_bad(cert, a)),
+                    lambda g, a, cert: _check_tree(g, a, cert)),
 )}
 
 

@@ -10,8 +10,8 @@ from listcolor.certificates import (
     OrderedSeq,
     ProperPair,
     ProperTriple,
+    _alt_distances,
     alternating_chain,
-    find_alternating_paths,
 )
 from listcolor.errors import CertificateError, GuardExceededError, InvalidParameterError
 from listcolor.graphs import Graph, connected_components, vertex_set
@@ -38,6 +38,28 @@ def identical_list_clique_count(g: Graph, assignment: ListAssignment, k: int) ->
         for repeats in tally.values():
             total += math.comb(repeats, k + 1)
     return total
+
+
+def find_alternating_paths(
+    g: Graph, assignment: ListAssignment, coloring: Coloring, origin: int
+) -> dict[int, int]:
+    """Shortest alternating-path length from `origin` for every reachable
+    vertex; the origin itself sits at distance 0.
+
+    `coloring` must be a proper list coloring of the graph minus the origin
+    (validated; violations raise CertificateError).
+    """
+    expected = set(range(g.n)) - {origin}
+    if set(coloring) != expected:
+        raise CertificateError("coloring must cover exactly the graph minus the origin")
+    for v in expected:
+        if coloring[v] not in assignment[v]:
+            raise CertificateError(f"vertex {v} colored outside its list")
+    for u in expected:
+        for v in g.adjacency[u]:
+            if u < v and v != origin and coloring[u] == coloring[v]:
+                raise CertificateError(f"edge {u}-{v} is monochromatic")
+    return _alt_distances(g.adjacency, assignment, coloring, origin)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ from listcolor.certificates import (
     OrderedSeq,
     ProperPair,
     ProperTriple,
+    RootedProperTree,
     alternating_chain,
     build_proper_trees,
     certificate_to_json,
     find_2bad_pair,
-    find_alternating_paths,
     find_bad_triple,
     find_tree_bad,
     is_2bad_pair,
@@ -38,6 +38,7 @@ from support import (
     count_nonconsecutive,
     count_proper_triples_by_m,
     enumerate_proper_triples,
+    find_alternating_paths,
     induced_rank,
     is_L_alternating,
 )
@@ -317,19 +318,23 @@ class TestTwoBadPairs:
         assert pair.h1.kind == pair.h2.kind == CYCLE
         assert len(pair.h1.vertices) == len(pair.h2.vertices) == n
 
-    def test_budget_is_spent_once_per_visited_state(self):
+    def test_budget_is_spent_once_per_visited_state(self, monkeypatch):
         # an odd cycle visits n - 1 states in each of the four chains of
         # vertex 0; the second instance backtracks through 846 states
         n = 21
         g, a = power_cycle(n, 1), uniform_lists(n, (1, 2))
-        assert find_2bad_pair(g, a, max_nodes=4 * (n - 1)) is not None
+        monkeypatch.setattr(certs, "_MAX_STEPS", 4 * (n - 1))
+        assert find_2bad_pair(g, a) is not None
+        monkeypatch.setattr(certs, "_MAX_STEPS", 4 * (n - 1) - 1)
         with pytest.raises(GuardExceededError):
-            find_2bad_pair(g, a, max_nodes=4 * (n - 1) - 1)
+            find_2bad_pair(g, a)
         g = power_cycle(9, 2)
         a = ListAssignment(3, 2, [(1, 2), (2, 3), (1, 3)] * 3)
-        assert find_2bad_pair(g, a, max_nodes=846) is None
+        monkeypatch.setattr(certs, "_MAX_STEPS", 846)
+        assert find_2bad_pair(g, a) is None
+        monkeypatch.setattr(certs, "_MAX_STEPS", 845)
         with pytest.raises(GuardExceededError):
-            find_2bad_pair(g, a, max_nodes=845)
+            find_2bad_pair(g, a)
 
 
 class TestNonconsecutiveCount:
@@ -413,6 +418,48 @@ class TestProperTrees:
             assert tree.semiroot in g.adjacency[0]
             tree.validate(g)
 
+    def test_every_built_tree_validates(self):
+        fano = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+        heawood = Graph(14, [(p, 7 + i) for i, line in enumerate(fano) for p in line])
+        cube = Graph(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+        graphs = [petersen(), heawood, cube, complete_multipartite([3, 3]),
+                  complete_multipartite([4, 4])] + [power_cycle(n, 1) for n in range(5, 9)]
+        built = 0
+        for g in graphs:
+            for k in range(2, min(len(nb) for nb in g.adjacency) + 1):
+                for root in range(g.n):
+                    for tree in build_proper_trees(g, k, root):
+                        tree.validate(g)
+                        built += 1
+        assert built == 1702
+
+    @pytest.mark.parametrize("tree, g", [
+        # the root has a parent, and 2 is not a vertex of the tree
+        (RootedProperTree(ODD, 5, 3, 6, None, {1: 2, 3: 2, 7: 2, 0: 1, 6: 1, 4: 3, 8: 3,
+                                               5: 7, 9: 7}), petersen()),
+        (RootedProperTree(ODD, 5, 2, 0, 1, {1: 0, 4: 0, 2: 1, 3: 4}), power_cycle(5, 1)),
+        (RootedProperTree(EVEN, 6, 2, 0, None, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
+        (RootedProperTree(EVEN, 6, 2, 0, 0, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
+        (RootedProperTree(EVEN, 6, 2, 0, 2, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
+        (RootedProperTree(ODD, 6, 2, 0, None, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
+        (RootedProperTree(EVEN, 5, 2, 0, 1, {1: 0, 4: 0, 2: 1, 3: 4}), power_cycle(5, 1)),
+        (RootedProperTree(ODD, 5, 1, 0, None, {1: 0, 4: 0, 2: 1, 3: 4}), power_cycle(5, 1)),
+        (RootedProperTree(EVEN, 2, 2, 0, 1, {1: 0}), power_cycle(5, 1)),
+        (RootedProperTree(ODD, 5, 2, 0, None, {1: 0, 4: 0, 2: 1, 3: 9}), power_cycle(5, 1)),
+        # 2 and 3 point at each other, away from the root
+        (RootedProperTree(ODD, 5, 2, 0, None, {1: 0, 4: 0, 2: 3, 3: 2}), power_cycle(5, 1)),
+        # 5 sits at side depth 1 with no child, 3 at side depth 2 with one
+        (RootedProperTree(EVEN, 6, 2, 0, 1, {1: 0, 5: 0, 2: 1, 3: 2, 4: 3}), power_cycle(6, 1)),
+        (RootedProperTree(ODD, 5, 3, 0, None, {1: 0, 4: 0, 5: 0, 2: 1, 6: 1, 3: 4, 9: 4,
+                                               7: 5}), petersen()),
+    ], ids=["root-has-parent", "odd-with-semiroot", "even-without-semiroot",
+            "semiroot-is-root", "semiroot-off-root", "parity-against-girth",
+            "parity-against-odd-girth", "k-below-2", "girth-below-3", "parent-outside-tree",
+            "parent-cycle", "wrong-child-counts", "vertex-missing"])
+    def test_malformed_trees_raise_certificate_errors(self, tree, g):
+        with pytest.raises(CertificateError):
+            tree.validate(g)
+
     def test_odd_cycle_tree_badness(self, c5):
         a = uniform_lists(5, (1, 2))
         tree = next(build_proper_trees(c5, 2, 0, 5))
@@ -463,38 +510,48 @@ class TestProperTrees:
                 assert is_tree_bad(tree, a)[0]
                 tree.validate(g)
 
-    def test_tree_budget_spans_every_root(self):
+    def test_tree_budget_spans_every_root(self, monkeypatch):
         # Petersen at k = 2 has 12 rooted trees at each of its 10 roots, and
         # none of the 120 is tree-bad for these lists
         g = petersen()
         a = ListAssignment(5, 2, [(2, 4), (1, 5), (4, 5), (2, 3), (3, 5),
                                   (3, 4), (2, 3), (2, 5), (1, 5), (1, 5)])
-        assert find_tree_bad(g, a, max_trees=120) is None
+        monkeypatch.setattr(certs, "_MAX_STEPS", 120)
+        assert find_tree_bad(g, a) is None
+        monkeypatch.setattr(certs, "_MAX_STEPS", 119)
         with pytest.raises(GuardExceededError, match="sequence search budget exhausted"):
-            find_tree_bad(g, a, max_trees=119)
+            find_tree_bad(g, a)
         # on K_{3,3} the 13th tree built is the first tree-bad one
         g = complete_multipartite([3, 3])
         a = ListAssignment(4, 2, [(1, 3), (2, 3), (2, 4), (2, 4), (2, 3), (2, 4)])
-        assert find_tree_bad(g, a, max_trees=13) == find_tree_bad(g, a)
+        first = find_tree_bad(g, a)
+        monkeypatch.setattr(certs, "_MAX_STEPS", 13)
+        assert find_tree_bad(g, a) == first
+        monkeypatch.setattr(certs, "_MAX_STEPS", 12)
         with pytest.raises(GuardExceededError, match="sequence search budget exhausted"):
-            find_tree_bad(g, a, max_trees=12)
+            find_tree_bad(g, a)
 
-    def test_tree_scan_budget_counts_colorings(self):
+    def test_tree_scan_budget_counts_colorings(self, monkeypatch):
         # the Petersen tree at root 0 has 2688 proper colorings from these
         # lists and none is a witness; from the second lists the 2525th is
         g = petersen()
         tree = next(build_proper_trees(g, 3, 0, 5))
         a = ListAssignment(4, 3, [(2, 3, 4), (1, 3, 4), (1, 3, 4), (1, 2, 4), (1, 3, 4),
                                   (1, 3, 4), (1, 3, 4), (1, 2, 4), (2, 3, 4), (1, 3, 4)])
-        assert is_tree_bad(tree, a, max_colorings=2688) == (False, None)
-        with pytest.raises(GuardExceededError, match="tree coloring scan budget exhausted"):
-            is_tree_bad(tree, a, max_colorings=2687)
         b = ListAssignment(4, 3, [(2, 3, 4), (1, 2, 3), (1, 2, 3), (2, 3, 4), (1, 3, 4),
                                   (2, 3, 4), (1, 2, 3), (1, 3, 4), (1, 3, 4), (1, 2, 3)])
-        assert is_tree_bad(tree, b, max_colorings=2525) == is_tree_bad(tree, b)
-        assert is_tree_bad(tree, b)[0]
+        witnessed = is_tree_bad(tree, b)
+        assert witnessed[0]
+        monkeypatch.setattr(certs, "_MAX_STEPS", 2688)
+        assert is_tree_bad(tree, a) == (False, None)
+        monkeypatch.setattr(certs, "_MAX_STEPS", 2687)
         with pytest.raises(GuardExceededError, match="tree coloring scan budget exhausted"):
-            is_tree_bad(tree, b, max_colorings=2524)
+            is_tree_bad(tree, a)
+        monkeypatch.setattr(certs, "_MAX_STEPS", 2525)
+        assert is_tree_bad(tree, b) == witnessed
+        monkeypatch.setattr(certs, "_MAX_STEPS", 2524)
+        with pytest.raises(GuardExceededError, match="tree coloring scan budget exhausted"):
+            is_tree_bad(tree, b)
 
 
 class TestLemmaImplicationsSmall:
@@ -619,6 +676,28 @@ class TestCertificateJson:
         assert doc["kind"] == "tree-bad"
         assert doc["parity"] == "odd"
         assert len(doc["edges"]) == tree.size - 1
+
+
+@pytest.mark.parametrize("name", sorted(certs.CERTIFICATE_KINDS))
+def test_kind_check_rejects_a_graph_without_a_certificate_edge(c5, name):
+    """Every kind's checker validates against the graph: the certificate found
+    on C5 with lists {1, 2} uses the edge 0-1, which the path lacks."""
+    kind = certs.CERTIFICATE_KINDS[name]
+    a = uniform_lists(5, (1, 2))
+    cert = kind.find(c5, a, solve(c5, a))
+    assert kind.check(c5, a, cert)[0]
+    path = Graph(5, [e for e in c5.edges if e != (0, 1)])
+    with pytest.raises(CertificateError):
+        kind.check(path, a, cert)
+
+
+def test_tree_check_rejects_edges_the_graph_lacks(c5):
+    # tree-bad as a tree, but 0-3, 0-2, 1-3 and 2-4 are not edges of C5
+    tree = RootedProperTree(ODD, 5, 2, 0, None, {3: 0, 2: 0, 1: 3, 4: 2})
+    a = uniform_lists(5, (1, 2))
+    assert is_tree_bad(tree, a) == (True, {1: 1, 2: 1, 3: 2, 4: 2})
+    with pytest.raises(CertificateError, match="missing from the graph"):
+        certs.CERTIFICATE_KINDS["tree"].check(c5, a, tree)
 
 
 def _check_found_triple(g, assignment):
