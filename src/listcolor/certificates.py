@@ -651,7 +651,9 @@ def build_proper_trees(
     yield from _proper_trees(g, k, root, int(girth_value), _Budget())
 
 
-def is_tree_bad(tree: RootedProperTree, assignment: ListAssignment) -> tuple[bool, Coloring | None]:
+def is_tree_bad(
+    tree: RootedProperTree, assignment: ListAssignment
+) -> tuple[bool, Coloring | None]:
     """Decide tree-badness, returning a witness coloring of the tree minus
     its root: the root's list must equal its tree-neighbors' color set, and
     every internal vertex's non-own list colors must equal its children's
@@ -743,9 +745,9 @@ def _check_tree(g, assignment, tree):
     return is_tree_bad(tree, assignment)
 
 
-# In the order `listcolor certify --kind auto` tries them.  The lambdas look
-# the finders and checkers up when called, so a replaced module function is
-# the one that runs.
+# In the order `listcolor certify --kind auto` tries them.  The lambdas and
+# `_check_tree` look the finders and checkers up when called, so a replaced
+# module function is the one that runs.
 CERTIFICATE_KINDS = {kind.name: kind for kind in (
     CertificateKind("triple", "bad-triple", ProperTriple, lambda g, a, s: find_bad_triple(g, a, s),
                     lambda g, a, cert: is_bad_triple(g, a, cert)),
@@ -753,7 +755,7 @@ CERTIFICATE_KINDS = {kind.name: kind for kind in (
     CertificateKind("pair", "2bad-pair", ProperPair, lambda g, a, _: find_2bad_pair(g, a),
                     lambda g, a, cert: (is_2bad_pair(g, a, cert)[0], None)),
     CertificateKind("tree", "tree-bad", RootedProperTree, lambda g, a, _: find_tree_bad(g, a),
-                    lambda g, a, cert: _check_tree(g, a, cert)),
+                    _check_tree),
 )}
 
 
