@@ -434,3 +434,71 @@ class TestRegimes:
         large = girth_regime_bounds(100, 30, 2, 100)["th:main2"]
         assert large.extras["branch"] == "large-delta"
         assert large.extras["threshold"].log == pytest.approx(math.log(30))
+
+
+# The catalog at the four points of the bench's bounds_catalog workload,
+# keyed by (n, Delta, k, sigma, g): each regime's (log_value, threshold log,
+# bound log or None), read from the term-by-term sums.  _ZERO is the log of
+# an empty or all-zero sum.
+_ZERO = -math.inf
+CATALOG_PINS = {
+    (10**6, 3, 3, 400, 5): {
+        "th:main1": (4134839.604714512, 1.9012608248854004, 4134839.604714512),
+        "prop1": (5.545124877294685, 5.545124877294685, None),
+        "prop2": (0.9287132518727077, 5.703782474656201, 0.9287132518727077),
+        "prop:girth": (7314118.00941064, 2.042647306086858, 7314118.00941064),
+        "prop:girth2": (-16.43138547090703, 2.633669017330807, -16.43138547090703),
+        "prop:verylargegirth": (-16.43138547090703, 4.871201010907891, -16.43138547090703),
+        "th:nonconstant1": (4134839.604714512, 2.99987311355351, 4134839.604714512),
+        "th:nonconstant2": (6.094431021628741, 6.094431021628741, None),
+        "prop:largek": (0.9287132518727077, 6.802394763324311, 0.9287132518727077),
+    },
+    (10**5, 3, 4, 2000, 6): {
+        "th:main1": (_ZERO, 0.9942109137276667, _ZERO),
+        "prop1": (-89.22469320901934, 4.707851077128639, -89.22469320901934),
+        "prop2": (_ZERO, 3.9768436549106667, _ZERO),
+        "prop:girth": (_ZERO, 1.5554693413079013, _ZERO),
+        "prop:girth2": (-100.64258565192517, 1.559129307266919, -100.64258565192517),
+        "prop:verylargegirth": (-100.64258565192517, 4.871201010907891, -100.64258565192517),
+        "th:nonconstant1": (_ZERO, 2.380505274847557, _ZERO),
+        "th:nonconstant2": (5.911043390137179, 5.911043390137179, None),
+        "prop:largek": (_ZERO, 5.3631380160305575, _ZERO),
+    },
+    (10**5, 4, 2, 500, 5): {
+        "th:main1": (27238.78106175235, 3.5713785468025026, 27238.78106175235),
+        "th:main2": (-6.344919508207181, 3.5713785468025026, -6.344919508207181),
+        "prop2": (2.95491027903374, 7.142757093605005, 2.95491027903374),
+        "prop3": (-13.228957237391068, 3.305115271948262, -13.228957237391068),
+        "prop:verylargegirth": (-0.8363344869339616, 7.5186441729158835, -0.8363344869339616),
+        "th:nonconstant1": (27238.78106175235, 4.2645257273624475, 27238.78106175235),
+        "prop:largek": (2.95491027903374, 7.8359042741649505, 2.95491027903374),
+    },
+    (10**4, 4, 2, 40, 6): {
+        "th:main1": (37679.889832044886, 2.9957322735539913, 37679.889832044886),
+        "th:main2": (2.4552795955340616, 2.9957322735539913, 2.4552795955340616),
+        "prop1": (8.071859351810346, 8.071859351810346, None),
+        "prop2": (5.703782474656201, 5.991464547107983, 5.703782474656201),
+        "prop3": (-0.2744542118948372, 2.7020572714022024, -0.2744542118948372),
+        "prop:verylargegirth": (6.526006697491293, 6.527972257270324, 6.526006697491293),
+        "th:nonconstant1": (37679.889832044886, 3.6888794541139367, 37679.889832044886),
+        "th:nonconstant2": (6.685564990690456, 6.685564990690456, None),
+        "prop:largek": (5.703782474656201, 6.684611727667928, 5.703782474656201),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "point", list(CATALOG_PINS), ids=["n{}d{}k{}s{}g{}".format(*p) for p in CATALOG_PINS]
+)
+def test_catalog_matches_pinned_logs(point):
+    n, delta, k, sigma, g = point
+    reports = girth_regime_bounds(n, delta, k, sigma, g=g)
+    assert list(reports) == list(CATALOG_PINS[point])
+    for name, (log_value, threshold, bound) in CATALOG_PINS[point].items():
+        rep = reports[name]
+        assert rep.value.approx_eq(LogValue(log_value)), (name, rep.value.log)
+        assert rep.extras["threshold"].approx_eq(LogValue(threshold)), name
+        if bound is None:
+            assert "bound" not in rep.extras, name
+        else:
+            assert rep.extras["bound"].approx_eq(LogValue(bound)), (name, rep.extras["bound"].log)
