@@ -2,9 +2,17 @@
 
 Quantities like Delta^(k^2+k) or (m-1)! overflow machine floats, and the
 arguments only ever need ratios and comparisons, so all arithmetic happens on
-natural-log magnitudes.  Binomial coefficients go through lgamma, or a sum of
-logs of ratios when the smaller of k and n - k is at most 20; an exact
-integer path (math.comb) is used by the tests for cross-validation.
+natural-log magnitudes.  Binomial coefficients go through a sum of logs of
+ratios when the smaller of k and n - k is at most 20, and through Stirling
+series otherwise; an exact integer path (math.comb) is used by the tests for
+cross-validation.
+
+Geometric sums are closed forms: the alternating-path sum at any number of
+sizes, and the inner r-sum of each pair size l (the l terms are then added
+one by one).  The bad-triple series (sum:triples, and the girth-regime one
+of prop:girth) are not geometric and are added term by term, up to 10^6
+terms.  One catalog call evaluates sum:triples once for th:main1 and
+th:nonconstant1.
 
 Asymptotic "omega(...)" thresholds are reported as the evaluated expression
 together with the ratio sigma/threshold; nothing here claims asymptotics,
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .certificates import proper_tree_size
 from .errors import InvalidParameterError, RegimeError
@@ -27,19 +36,34 @@ LOWER_BOUND = "LOWER_BOUND"
 _NEG_INF = float("-inf")
 
 
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) minus (z - 1/2) log z - z + log(2 pi) / 2, to 1e-15 at z > 20."""
+    z2 = z * z
+    return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * z2)) / z2) / z2) / z
+
+
 def log_comb(n: int, k: int) -> float:
     """log C(n, k); -inf outside the triangle (a zero count).
 
-    When min(k, n - k) <= 20 it is a sum of log((n - i) / (i + 1)), exact to
-    a few ulps; the lgamma difference cancels there when n >> k (4.4e-11
-    relative at (10^6, 3)).
+    With j = min(k, n - k): when j <= 20, a sum of log((n - i) / (i + 1)).
+    Otherwise log(n! / (n - j)!) - lgamma(j + 1), where the first term is
+    the difference of two Stirling series taken in closed form, so nothing
+    of size n log n cancels (the plain lgamma difference reads 9e-12
+    relative at (10^6, 29)).  Both are within a few ulps.
     """
     if k < 0 or k > n or n < 0:
         return _NEG_INF
     small = min(k, n - k)
     if small <= 20:
         return math.fsum(math.log((n - i) / (i + 1)) for i in range(small))
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    a, b = n + 1, n - small + 1
+    falling = (
+        (a - 0.5) * math.log1p(small / b)
+        + small * (math.log(b) - 1)
+        + _stirling_tail(a)
+        - _stirling_tail(b)
+    )
+    return falling - math.lgamma(small + 1)
 
 
 def log_factorial(n: int) -> float:
@@ -53,6 +77,21 @@ def _log_add(a: float, b: float) -> float:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
+
+
+def _log1mexp(a: float) -> float:
+    """log(1 - e^a) for a < 0 (0 at a = -inf)."""
+    return math.log(-math.expm1(a)) if a > -math.log(2) else math.log1p(-math.exp(a))
+
+
+def _log_geometric(x: float, count: int) -> float:
+    """log of sum_{i=0..count-1} e^(i*x): a geometric sum of count >= 1
+    terms with log-ratio x, in closed form.  At x > 0 the largest term
+    e^((count-1)x) is factored out, so every branch stays finite."""
+    if x == 0:
+        return math.log(count)
+    y = -abs(x)
+    return max(x, 0.0) * (count - 1) + _log1mexp(count * y) - _log1mexp(y)
 
 
 def _log_of(x: float) -> float:
@@ -291,6 +330,18 @@ def proper_triple_count_bound(n: int, delta: int, m: int) -> BoundReport:
     )
 
 
+def _series_end(delta: int, exponent: int, m_lo: int) -> int:
+    """The last size of a triple series from m_lo: min(Delta^exponent,
+    m_lo + 10^6 - 1), or m_lo when Delta <= 1.  The power is built only
+    when its bit length shows it may be below the 10^6-term cap."""
+    if delta <= 1:
+        return m_lo
+    cap = m_lo + 10**6 - 1
+    if exponent * (delta.bit_length() - 1) >= cap.bit_length():
+        return cap  # Delta^exponent >= 2^(cap's bit length) > cap
+    return min(delta**exponent, cap)
+
+
 def _triple_series(n, delta, k, sigma, m_lo, m_hi, delta_power):
     """(log of sum_{m=m_lo..m_hi} n * Delta^(delta_power*(m-1)) * (m-1)! *
     [the per-triple probability bound], log of the ratio of the term after
@@ -331,6 +382,7 @@ def bad_triple_expectation_sum(
 
     m_lo defaults to k+2 (smaller cores are the identical-list cliques,
     handled exactly); m_hi defaults to Delta^(k^2+k) capped at 10^6 terms.
+    The terms are added one by one.
     The report carries the geometric-comparison ratio
     k^k * Delta^(k^2+2k) / sigma^(k-1) and, when that ratio is below one,
     the closed form n * Delta^(k(k+2)) / sigma^((k-1)(k+2)+1) / (1-ratio).
@@ -338,9 +390,8 @@ def bad_triple_expectation_sum(
     _check(2 <= k <= sigma, "need 2 <= k <= sigma")
     if m_lo is None:
         m_lo = k + 2
-    cap = delta ** (k * k + k) if delta > 1 else m_lo
     if m_hi is None:
-        m_hi = min(cap, m_lo + 10**6 - 1)
+        m_hi = _series_end(delta, k * k + k, m_lo)
     params = {"n": n, "delta": delta, "k": k, "sigma": sigma, "m_lo": m_lo, "m_hi": m_hi}
     if m_lo > m_hi or n == 0 or delta == 0:
         return BoundReport("sum:triples", params, LogValue.zero(), UPPER_BOUND)
@@ -364,31 +415,31 @@ def alternating_path_expectation(
     """sum_{r=r_min..r_max} n * Delta^(r-1) * k^(2r) / sigma^(r-1): expected
     count of r-vertex paths admitting an alternating coloring.
 
-    Geometric with ratio Delta*k^2/sigma; the closed-form tail beyond r_max
-    is reported, and the report is flagged divergent when sigma <= Delta*k^2.
+    Geometric with ratio Delta*k^2/sigma, so the sum and the tail beyond
+    r_max are both closed forms in its first term, at any number of sizes.
+    The report is flagged divergent, and carries no tail, when
+    sigma <= Delta*k^2 (compared exactly).
     """
     _check(1 <= k <= sigma, "need 1 <= k <= sigma")
+    _check(r_min >= 1, "need r_min >= 1")
     params = {"n": n, "delta": delta, "k": k, "sigma": sigma, "r_min": r_min, "r_max": r_max}
     if r_min > r_max or n == 0:
         return BoundReport("eq:pathsum", params, LogValue.zero(), UPPER_BOUND)
-    if r_max - r_min > 10**6:
-        raise InvalidParameterError("path sum limited to 10^6 terms")
     log_ratio = _log_of(delta) + 2 * math.log(k) - _log_of(sigma)
-    total = _NEG_INF
-    current = (
+    first = (
         _log_of(n)
         + _pow_log(_log_of(delta), r_min - 1)
         + 2 * r_min * math.log(k)
         - _pow_log(_log_of(sigma), r_min - 1)
     )
-    for _ in range(r_min, r_max + 1):
-        total = _log_add(total, current)
-        current += log_ratio
-    divergent = log_ratio >= 0
+    count = r_max - r_min + 1
+    total = first + _log_geometric(log_ratio, count)
+    # decided on integers: at sigma = Delta*k^2 the float log_ratio may round below 0
+    divergent = sigma <= delta * k * k
     extras: dict = {"geometric_ratio": math.exp(min(log_ratio, 700.0))}
     if not divergent:
-        # `current` already holds the log of the (r_max+1)-th term
-        tail = LogValue(current - math.log1p(-math.exp(log_ratio)))
+        # the (r_max+1)-th term over 1 - ratio = (sigma - Delta*k^2) / sigma
+        tail = LogValue(first + count * log_ratio - math.log((sigma - delta * k * k) / sigma))
         extras["geometric_tail"] = tail
         extras["total_with_tail"] = LogValue(total) + tail
     return BoundReport("eq:pathsum", params, LogValue(total), UPPER_BOUND, divergent, extras)
@@ -430,25 +481,28 @@ def pair_expectation_sum(
     """Double sum over pair sizes l and non-consecutive counts r of
     count-bound times probability-bound; the first moment of 2-bad pairs.
 
-    Flagged divergent when sigma <= 4*Delta (the l-series ratio reaches 1).
+    For each l the r = 0..l terms are geometric with ratio
+    4*Delta/(sigma-1) and are added in closed form; the l terms are added
+    one by one.  Flagged divergent when sigma <= 4*Delta (the l-series
+    ratio reaches 1).
     """
     _check(sigma >= 3, "need sigma >= 3")
     _check(l_min >= 3, "need l_min >= 3")
     if l_max - l_min > 3000:
         raise InvalidParameterError("pair sum limited to 3000 sizes")
     params = {"n": n, "delta": delta, "sigma": sigma, "l_min": l_min, "l_max": l_max}
+    log_delta = _log_of(delta)
+    r_ratio = log_delta + 2 * math.log(2) - math.log(sigma - 1)
     total = _NEG_INF
     for l in range(l_min, l_max + 1):
-        for r in range(0, l + 1):
-            term = (
-                _log_of(n)
-                + (l - 1 + r) * _log_of(delta)
-                + l * math.log(2)
-                + (l + 2 * r) * math.log(2)
-                - (l - 1) * math.log(sigma)
-                - (2 + r) * math.log(sigma - 1)
-            )
-            total = _log_add(total, term)
+        r0_term = (
+            _log_of(n)
+            + (l - 1) * log_delta
+            + 2 * l * math.log(2)
+            - (l - 1) * math.log(sigma)
+            - 2 * math.log(sigma - 1)
+        )
+        total = _log_add(total, r0_term + _log_geometric(r_ratio, l + 1))
     divergent = sigma <= 4 * delta
     return BoundReport(
         "sum:pairs",
@@ -517,13 +571,19 @@ def tree_bad_expectation_bound(n: int, delta: int, k: int, sigma: int, g: int) -
 
 
 class _Point:
-    """The parameters of one catalog call, with the logs its regimes share."""
+    """The parameters of one catalog call, with the logs and the triple sum
+    its regimes share."""
 
     def __init__(self, n, delta, k, sigma, g, s, alpha, eps):
         self.n, self.delta, self.k, self.sigma = n, delta, k, sigma
         self.g, self.s, self.alpha, self.eps = g, s, alpha, eps
         self.ln_n, self.ln_delta = math.log(n), math.log(delta)
         self.params = {"n": n, "delta": delta, "k": k, "sigma": sigma}
+
+    @cached_property
+    def triple_sum(self) -> BoundReport:
+        """bad_triple_expectation_sum here, attached by th:main1 and th:nonconstant1."""
+        return bad_triple_expectation_sum(self.n, self.delta, self.k, self.sigma)
 
 
 def _need(ok: bool, name: str, reason: str) -> None:
@@ -580,7 +640,7 @@ def _th_main1(name: str, p: _Point) -> BoundReport:
     rep = _threshold_report(name, p.params, p.ln_n / (k * k) + p.ln_delta / k, p.sigma)
     rep.extras["delta_cap"] = LogValue(p.ln_n * (k - 1) / (k * (k**3 + 2 * k**2 - k + 1)))
     rep.extras["delta_within_cap"] = p.ln_delta <= rep.extras["delta_cap"].log
-    return _attach_bound(rep, bad_triple_expectation_sum(p.n, p.delta, k, p.sigma))
+    return _attach_bound(rep, p.triple_sum)
 
 
 def _th_main2(name: str, p: _Point) -> BoundReport:
@@ -652,7 +712,7 @@ def _prop_girth(name: str, p: _Point) -> BoundReport:
     # minimum core size, the girth-g tree size at list size k+1, and is capped
     # at Delta^((k-1)*m_lo + 1) and at 10^6 terms.
     m_lo = q_next
-    m_hi = min(delta ** ((k - 1) * m_lo + 1) if delta > 1 else m_lo, m_lo + 10**6 - 1)
+    m_hi = _series_end(delta, (k - 1) * m_lo + 1, m_lo)
     total, last_growth = _triple_series(n, delta, k, sigma, m_lo, m_hi, 1)
     series = BoundReport(
         "sum:triples-girth",
@@ -676,7 +736,6 @@ def _prop_verylargegirth(name: str, p: _Point) -> BoundReport:
     _need(p.g is not None and p.g >= 3, name, "needs a girth g")
     params = {**p.params, "g": p.g}
     if p.k == 2 and p.n > 2:
-        _need(p.n - p.g <= 10**6, name, "sums paths of at most 10^6 sizes, so needs n <= g + 10^6")
         c = p.g / p.ln_n
         a_min = 4 * math.exp(1 / c)
         log_thr = math.log(a_min) + p.ln_delta + math.log(p.ln_n)
@@ -707,7 +766,7 @@ def _th_nonconstant1(name: str, p: _Point) -> BoundReport:
         rep.extras["case_ii_threshold"] = LogValue(base + 1 / c)
         rep.extras["case_ii_C"] = c
     rep.extras["case_iii_threshold"] = LogValue(base)
-    return _attach_bound(rep, bad_triple_expectation_sum(p.n, p.delta, p.k, p.sigma))
+    return _attach_bound(rep, p.triple_sum)
 
 
 def _th_nonconstant2(name: str, p: _Point) -> BoundReport:

@@ -553,12 +553,12 @@ class RootedProperTree:
                     queue.append(w)
         return dist
 
-    def validate(self, g: Graph) -> None:
-        """One shape rule for both parities.  The side depth of a vertex is
-        its tree distance to the nearer origin (the root, and the semiroot
-        on even trees).  The root has k children, counting the semiroot; any
-        other vertex has k-1 children up to side depth (girth-3)//2, and
-        none below that."""
+    def check_shape(self) -> None:
+        """The rules that need no graph, one shape rule for both parities.
+        The side depth of a vertex is its tree distance to the nearer origin
+        (the root, and the semiroot on even trees).  The root has k
+        children, counting the semiroot; any other vertex has k-1 children
+        up to side depth (girth-3)//2, and none below that."""
         if self.k < 2 or self.girth < 3:
             raise CertificateError("rooted proper trees need k >= 2 and girth >= 3")
         if self.parity != (ODD if self.girth % 2 else EVEN):
@@ -573,8 +573,6 @@ class RootedProperTree:
         for c, p in self.parent.items():
             if p not in vertices:
                 raise CertificateError(f"parent {p} of {c} is not a tree vertex")
-            if not g.has_edge(c, p):
-                raise CertificateError(f"tree edge {c}-{p} missing from the graph")
         ch = self.children()
         origins = (self.root,) if self.semiroot is None else (self.root, self.semiroot)
         side = dict.fromkeys(origins, 0)
@@ -595,6 +593,17 @@ class RootedProperTree:
                     f"vertex {v} at side depth {side[v]} has {len(ch[v])} children,"
                     f" expected {want}"
                 )
+
+    def check_edges(self, g: Graph) -> None:
+        """Every tree edge is an edge of g."""
+        for c, p in self.parent.items():
+            if not g.has_edge(c, p):
+                raise CertificateError(f"tree edge {c}-{p} missing from the graph")
+
+    def validate(self, g: Graph) -> None:
+        """check_shape, then check_edges against g."""
+        self.check_shape()
+        self.check_edges(g)
 
 
 def _grow_levels(g, level, used, parent, branchings, budget) -> Iterator[dict[int, int]]:
@@ -658,7 +667,14 @@ def is_tree_bad(
     its root: the root's list must equal its tree-neighbors' color set, and
     every internal vertex's non-own list colors must equal its children's
     color set (measured from the root, and from the semiroot too on even
-    trees)."""
+    trees).  A tree of the wrong shape raises CertificateError; its edges
+    are not checked against any graph."""
+    tree.check_shape()
+    return _tree_badness(tree, assignment)
+
+
+def _tree_badness(tree: RootedProperTree, assignment) -> tuple[bool, Coloring | None]:
+    """is_tree_bad on a tree already known to have the right shape."""
     nb = tree.tree_neighbors()
     colored = sorted(v for v in tree.vertices if v != tree.root)
     adj = {v: tuple(w for w in nb[v] if w != tree.root) for v in colored}
@@ -703,7 +719,7 @@ def find_tree_bad(g: Graph, assignment: ListAssignment) -> RootedProperTree | No
     budget = _Budget()
     for root in range(g.n):
         for tree in _proper_trees(g, k, root, int(gv), budget):
-            if is_tree_bad(tree, assignment)[0]:
+            if _tree_badness(tree, assignment)[0]:  # built trees have the shape
                 return tree
     return None
 
@@ -740,8 +756,8 @@ class CertificateKind:
 
 
 def _check_tree(g, assignment, tree):
-    """is_tree_bad reads only the tree, so its kind validates it against g."""
-    tree.validate(g)
+    """is_tree_bad checks the tree's shape; its kind checks the edges against g."""
+    tree.check_edges(g)
     return is_tree_bad(tree, assignment)
 
 

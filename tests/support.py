@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from listcolor.bounds import _log_add, _log_of, _pow_log
 from listcolor.certificates import (
     OrderedSeq,
     ProperPair,
@@ -263,3 +264,39 @@ def _reference_chain(adjacency, live, colors, v, c, stats) -> bool:
                 break
             if colors[v] != c:
                 return False
+
+
+def reference_path_sum(n, delta, k, sigma, r_min, r_max) -> tuple[float, float]:
+    """The alternating-path sum of `bounds.alternating_path_expectation` as
+    a running sum, one term per size: (log of the sum, log of the
+    (r_max+1)-th term).  The running log drifts by about one ulp per size."""
+    log_ratio = _log_of(delta) + 2 * math.log(k) - _log_of(sigma)
+    total = -math.inf
+    current = (
+        _log_of(n)
+        + _pow_log(_log_of(delta), r_min - 1)
+        + 2 * r_min * math.log(k)
+        - _pow_log(_log_of(sigma), r_min - 1)
+    )
+    for _ in range(r_min, r_max + 1):
+        total = _log_add(total, current)
+        current += log_ratio
+    return total, current
+
+
+def reference_pair_sum(n, delta, sigma, l_max, l_min=3) -> float:
+    """The log of `bounds.pair_expectation_sum`'s double sum, each (l, r)
+    term from its own formula and added one at a time."""
+    total = -math.inf
+    for l in range(l_min, l_max + 1):
+        for r in range(0, l + 1):
+            term = (
+                _log_of(n)
+                + (l - 1 + r) * _log_of(delta)
+                + l * math.log(2)
+                + (l + 2 * r) * math.log(2)
+                - (l - 1) * math.log(sigma)
+                - (2 + r) * math.log(sigma - 1)
+            )
+            total = _log_add(total, term)
+    return total

@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from listcolor.bounds import (
@@ -24,7 +25,9 @@ from listcolor.bounds import (
     tree_bad_expectation_bound,
 )
 from listcolor.certificates import proper_tree_size
-from listcolor.errors import RegimeError
+from listcolor.errors import InvalidParameterError, RegimeError
+
+from support import reference_pair_sum, reference_path_sum
 
 
 def close(report, expected, tol=1e-9):
@@ -69,6 +72,13 @@ class TestLogValue:
             for small in range(min(20, n) + 1):
                 for k in (small, n - small):
                     exact = math.log(math.comb(n, k))
+                    assert abs(log_comb(n, k) - exact) <= 1e-12 * exact, (n, k)
+        # the Stirling branch, where a plain lgamma difference read 9e-12
+        # relative at (10^6, 29)
+        for n in (10**4, 10**5, 10**6):
+            for small in range(21, 1001):
+                exact = math.log(math.comb(n, small))
+                for k in (small, n - small):
                     assert abs(log_comb(n, k) - exact) <= 1e-12 * exact, (n, k)
 
 
@@ -202,14 +212,21 @@ class TestPathSum:
     def test_empty_range(self):
         assert alternating_path_expectation(10, 2, 2, 20, 9, 8).value.is_zero
 
+    def test_paths_have_a_vertex(self):
+        # r = 0 would put Delta^-1 in the first term, infinite at Delta = 0
+        with pytest.raises(InvalidParameterError, match="need r_min >= 1"):
+            alternating_path_expectation(10, 0, 2, 5, 0, 6)
+
     def test_single_vertex_paths_survive_zero_degree(self):
         # only the r=1 term survives: n * k^2
         close(alternating_path_expectation(10, 0, 2, 5, 1, 6), 40)
 
     def test_divergence_flag_at_ratio_one(self):
-        report = alternating_path_expectation(10, 3, 2, 12, 3, 50)  # sigma == delta*k^2
-        assert report.divergent
-        assert "geometric_tail" not in report.extras
+        # sigma == delta*k^2; at (6, 2, 24) log 6 + 2 log 2 - log 24 rounds below 0
+        for delta, sigma in ((3, 12), (6, 24)):
+            report = alternating_path_expectation(10, delta, 2, sigma, 3, 50)
+            assert report.divergent
+            assert "geometric_tail" not in report.extras
 
     def test_tail_bounds_the_remainder(self):
         head = alternating_path_expectation(100, 3, 2, 50, 7, 40)
@@ -217,6 +234,50 @@ class TestPathSum:
         with_tail = head.extras["total_with_tail"].to_float()
         assert with_tail >= full.value.to_float() - 1e-12
         assert with_tail == pytest.approx(full.value.to_float(), rel=1e-6)
+
+    def test_divergent_sum_matches_decimal_at_a_million_sizes(self):
+        """n = 10^6, Delta = 16, k = 2, sigma = 6 from r = 4 (the
+        prop:verylargegirth sum at g = 4): a running sum of its 999,997 logs
+        drifted to 2367136.547226011, 1.1e-11 relative off."""
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax = 50, 10**7
+            q = Decimal(16 * 2**2) / 6
+            exact = 10**6 * 2**2 * q**3 * (q ** (10**6 - 3) - 1) / (q - 1)
+            oracle = LogValue(float(exact.ln()))
+        report = alternating_path_expectation(10**6, 16, 2, 6, 4, 10**6)
+        assert report.divergent
+        assert report.value.approx_eq(oracle), report.value.log
+        regime = girth_regime_bounds(10**6, 16, 2, 6, g=4, which="prop:verylargegirth")
+        assert regime["prop:verylargegirth"].extras["bound"].approx_eq(oracle)
+
+    @given(
+        st.integers(1, 10**6), st.integers(0, 64), st.integers(1, 6), st.integers(1, 10**4),
+        st.sampled_from(["below", "at", "above", "free"]), st.integers(1, 60),
+        st.integers(0, 10**4),
+    )
+    @example(10, 0, 2, 5, "free", 1, 6)  # Delta = 0: only r = 1 survives
+    @example(10, 3, 2, 12, "at", 3, 48)  # ratio exactly one
+    @example(10, 6, 2, 1, "at", 3, 48)  # ratio one, whose float log rounds below 0
+    @example(100, 3, 2, 50, "below", 7, 1)  # a single size
+    @example(100, 3, 2, 50, "below", 7, 0)  # empty range
+    @example(10**6, 16, 2, 6, "above", 4, 10**4)
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_running_sum(self, n, delta, k, sigma, side, r_min, count):
+        """The closed form against `reference_path_sum` within 1e-12, on
+        either side of ratio Delta*k^2/sigma = 1 and on it; exactly at one
+        the sum is divergent, wherever the float log-ratio rounds."""
+        at = delta * k * k
+        sigma = {"below": at + sigma, "at": at, "above": at - sigma % at if at else 0}.get(
+            side, sigma)
+        assume(k <= sigma)
+        r_max = r_min + count - 1
+        report = alternating_path_expectation(n, delta, k, sigma, r_min, r_max)
+        total, after_last = reference_path_sum(n, delta, k, sigma, r_min, r_max)
+        assert report.value.approx_eq(LogValue(total)), (report.value.log, total)
+        assert report.divergent == (count > 0 and sigma <= at)
+        if count and sigma > at:
+            tail = LogValue(after_last - math.log((sigma - at) / sigma))
+            assert report.extras["geometric_tail"].approx_eq(tail)
 
 
 class TestPairBounds:
@@ -255,6 +316,30 @@ class TestPairBounds:
         v_hi = pair_expectation_sum(1000, 2, int(hi), l_max=60).value.to_float()
         slope = (math.log(v_hi) - math.log(v_lo)) / (math.log(hi) - math.log(lo))
         assert slope == pytest.approx(-4.0, abs=0.1)
+
+    @given(
+        st.integers(1, 10**6), st.integers(0, 64), st.integers(3, 10**4),
+        st.sampled_from(["below", "at", "above", "free"]), st.integers(3, 60),
+        st.integers(0, 80),
+    )
+    @example(50, 0, 30, "free", 3, 28)  # Delta = 0: every term is zero
+    @example(50, 5, 21, "at", 3, 28)  # sigma - 1 = 4*Delta: each r-sum is l + 1 ones
+    @example(50, 2, 30, "below", 3, 1)  # a single size
+    @example(50, 2, 30, "below", 3, 0)  # empty range
+    @example(10**5, 4, 500, "free", 5, 80)
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_double_loop(self, n, delta, sigma, side, l_min, count):
+        """Each size's r-sum in closed form against `reference_pair_sum`
+        within 1e-12, on either side of 4*Delta/(sigma-1) = 1 and on it.
+        Up to ~10^4 (l, r) terms."""
+        at = 4 * delta + 1
+        sigma = {"below": at + sigma, "at": at, "above": 3 + sigma % max(at - 3, 1)}.get(
+            side, sigma)
+        assume(sigma >= 3)
+        l_max = l_min + count - 1
+        report = pair_expectation_sum(n, delta, sigma, l_max, l_min)
+        total = reference_pair_sum(n, delta, sigma, l_max, l_min)
+        assert report.value.approx_eq(LogValue(total)), (report.value.log, total)
 
 
 class TestTreeBound:
@@ -419,14 +504,44 @@ class TestRegimes:
         ("th:main2", (16, 2, 2, 2), 5, "needs sigma >= 3"),
         ("prop3", (16, 2, 2, 2), 5, "needs sigma >= 3"),
         ("prop3", (16, 2, 2, 3), 2, "needs a girth g"),
-        ("prop:verylargegirth", (10**6 + 6, 3, 2, 100), 5,
-         "sums paths of at most 10^6 sizes, so needs n <= g + 10^6"),
     ])
     def test_degenerate_inputs_leave_the_regime(self, which, args, g, message):
         with pytest.raises(RegimeError) as info:
             girth_regime_bounds(*args, g=g, which=which)
         assert str(info.value) == f"{which}: {message}"
         assert which not in girth_regime_bounds(*args, g=g)
+
+    @pytest.mark.parametrize("n", [10**6 + 6, 10**9])
+    def test_very_large_girth_sums_paths_of_every_size(self, n):
+        """Case (i) sums paths of g..n vertices in closed form, so it reports
+        past g + 10^6 sizes, where it used to leave its regime."""
+        rep = girth_regime_bounds(n, 3, 2, 100, g=5, which="prop:verylargegirth")
+        rep = rep["prop:verylargegirth"]
+        assert rep.extras["case"] == "i" and rep.extras["bound_name"] == "eq:pathsum"
+        assert not rep.divergent  # ratio 12/100
+        # the sum is its first term n * 3^4 * 2^10 / 100^4 over 1 - 0.12, less
+        # a remainder 0.12^(n-4) far below float resolution
+        assert rep.value.approx_eq(LogValue.of(n * 3**4 * 2**10 / 100**4 / 0.88))
+        assert "prop:verylargegirth" in girth_regime_bounds(n, 3, 2, 100, g=5)
+
+    def test_girth_series_cap_needs_no_huge_power(self):
+        """At g = 40 the cap Delta^((k-1)*m_lo + 1) has about 2*10^9 digits;
+        the series stops at m_hi = m_lo + 10^6 - 1 without building it.
+        Terms grow about e^16-fold per size there, so the top 50 terms give
+        the sum to far below 1e-12, and one size more or less moves its log
+        by about 16."""
+        n, delta, k, sigma = 10**6, 3, 3, 400
+        rep = girth_regime_bounds(n, delta, k, sigma, g=40, which="prop:girth")["prop:girth"]
+        assert rep.extras["bound_name"] == "sum:triples-girth"
+        m_hi = proper_tree_size(k + 1, 40) + 10**6 - 1
+        terms = [
+            math.log(n) + (m - 1) * math.log(delta) + math.lgamma(m) + (m - 1) * math.log(sigma)
+            + log_comb(delta, k) + (m - 1) * log_comb(delta * k, k - 1)
+            - m * log_comb(sigma, k)
+            for m in range(m_hi - 49, m_hi + 1)
+        ]
+        oracle = LogValue(terms[-1] + math.log(math.fsum(math.exp(t - terms[-1]) for t in terms)))
+        assert rep.extras["bound"].approx_eq(oracle), (rep.extras["bound"].log, oracle.log)
 
     def test_main2_branches(self):
         small = girth_regime_bounds(10**6, 10, 2, 100)["th:main2"]

@@ -396,6 +396,35 @@ class TestProperTreeSize:
         assert petersen().n == proper_tree_size(3, 5)
 
 
+# Trees that break a graph-free shape rule, with a graph they could sit in.
+MALFORMED_TREES = [
+    # the root has a parent, and 2 is not a vertex of the tree
+    (RootedProperTree(ODD, 5, 3, 6, None, {1: 2, 3: 2, 7: 2, 0: 1, 6: 1, 4: 3, 8: 3,
+                                           5: 7, 9: 7}), petersen()),
+    (RootedProperTree(ODD, 5, 2, 0, 1, {1: 0, 4: 0, 2: 1, 3: 4}), power_cycle(5, 1)),
+    (RootedProperTree(EVEN, 6, 2, 0, None, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
+    (RootedProperTree(EVEN, 6, 2, 0, 0, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
+    (RootedProperTree(EVEN, 6, 2, 0, 2, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
+    (RootedProperTree(ODD, 6, 2, 0, None, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
+    (RootedProperTree(EVEN, 5, 2, 0, 1, {1: 0, 4: 0, 2: 1, 3: 4}), power_cycle(5, 1)),
+    (RootedProperTree(ODD, 5, 1, 0, None, {1: 0, 4: 0, 2: 1, 3: 4}), power_cycle(5, 1)),
+    (RootedProperTree(EVEN, 2, 2, 0, 1, {1: 0}), power_cycle(5, 1)),
+    (RootedProperTree(ODD, 5, 2, 0, None, {1: 0, 4: 0, 2: 1, 3: 9}), power_cycle(5, 1)),
+    # 2 and 3 point at each other, away from the root
+    (RootedProperTree(ODD, 5, 2, 0, None, {1: 0, 4: 0, 2: 3, 3: 2}), power_cycle(5, 1)),
+    # 5 sits at side depth 1 with no child, 3 at side depth 2 with one
+    (RootedProperTree(EVEN, 6, 2, 0, 1, {1: 0, 5: 0, 2: 1, 3: 2, 4: 3}), power_cycle(6, 1)),
+    (RootedProperTree(ODD, 5, 3, 0, None, {1: 0, 4: 0, 5: 0, 2: 1, 6: 1, 3: 4, 9: 4,
+                                           7: 5}), petersen()),
+]
+MALFORMED_TREE_IDS = [
+    "root-has-parent", "odd-with-semiroot", "even-without-semiroot", "semiroot-is-root",
+    "semiroot-off-root", "parity-against-girth", "parity-against-odd-girth", "k-below-2",
+    "girth-below-3", "parent-outside-tree", "parent-cycle", "wrong-child-counts",
+    "vertex-missing",
+]
+
+
 class TestProperTrees:
     def test_petersen_trees_have_ten_vertices(self):
         g = petersen()
@@ -438,32 +467,18 @@ class TestProperTrees:
                         built += 1
         assert built == 1702
 
-    @pytest.mark.parametrize("tree, g", [
-        # the root has a parent, and 2 is not a vertex of the tree
-        (RootedProperTree(ODD, 5, 3, 6, None, {1: 2, 3: 2, 7: 2, 0: 1, 6: 1, 4: 3, 8: 3,
-                                               5: 7, 9: 7}), petersen()),
-        (RootedProperTree(ODD, 5, 2, 0, 1, {1: 0, 4: 0, 2: 1, 3: 4}), power_cycle(5, 1)),
-        (RootedProperTree(EVEN, 6, 2, 0, None, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
-        (RootedProperTree(EVEN, 6, 2, 0, 0, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
-        (RootedProperTree(EVEN, 6, 2, 0, 2, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
-        (RootedProperTree(ODD, 6, 2, 0, None, {1: 0, 5: 0, 2: 1, 4: 5, 3: 2}), power_cycle(6, 1)),
-        (RootedProperTree(EVEN, 5, 2, 0, 1, {1: 0, 4: 0, 2: 1, 3: 4}), power_cycle(5, 1)),
-        (RootedProperTree(ODD, 5, 1, 0, None, {1: 0, 4: 0, 2: 1, 3: 4}), power_cycle(5, 1)),
-        (RootedProperTree(EVEN, 2, 2, 0, 1, {1: 0}), power_cycle(5, 1)),
-        (RootedProperTree(ODD, 5, 2, 0, None, {1: 0, 4: 0, 2: 1, 3: 9}), power_cycle(5, 1)),
-        # 2 and 3 point at each other, away from the root
-        (RootedProperTree(ODD, 5, 2, 0, None, {1: 0, 4: 0, 2: 3, 3: 2}), power_cycle(5, 1)),
-        # 5 sits at side depth 1 with no child, 3 at side depth 2 with one
-        (RootedProperTree(EVEN, 6, 2, 0, 1, {1: 0, 5: 0, 2: 1, 3: 2, 4: 3}), power_cycle(6, 1)),
-        (RootedProperTree(ODD, 5, 3, 0, None, {1: 0, 4: 0, 5: 0, 2: 1, 6: 1, 3: 4, 9: 4,
-                                               7: 5}), petersen()),
-    ], ids=["root-has-parent", "odd-with-semiroot", "even-without-semiroot",
-            "semiroot-is-root", "semiroot-off-root", "parity-against-girth",
-            "parity-against-odd-girth", "k-below-2", "girth-below-3", "parent-outside-tree",
-            "parent-cycle", "wrong-child-counts", "vertex-missing"])
+    @pytest.mark.parametrize("tree, g", MALFORMED_TREES, ids=MALFORMED_TREE_IDS)
     def test_malformed_trees_raise_certificate_errors(self, tree, g):
         with pytest.raises(CertificateError):
             tree.validate(g)
+
+    @pytest.mark.parametrize("tree, g", MALFORMED_TREES, ids=MALFORMED_TREE_IDS)
+    def test_is_tree_bad_rejects_malformed_trees(self, tree, g):
+        """is_tree_bad reads no graph but checks the shape first; unchecked,
+        the root-has-parent tree raises KeyError: 2 in the scan and the
+        parent-cycle tree gets a verdict."""
+        with pytest.raises(CertificateError):
+            is_tree_bad(tree, uniform_lists(g.n, (1, 2, 3)))
 
     def test_odd_cycle_tree_badness(self, c5):
         a = uniform_lists(5, (1, 2))
