@@ -79,11 +79,6 @@ def _log_add(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _log1mexp(a: float) -> float:
-    """log(1 - e^a) for a < 0 (0 at a = -inf)."""
-    return math.log(-math.expm1(a)) if a > -math.log(2) else math.log1p(-math.exp(a))
-
-
 def _log_geometric(x: float, count: int) -> float:
     """log of sum_{i=0..count-1} e^(i*x): a geometric sum of count >= 1
     terms with log-ratio x, in closed form.  At x > 0 the largest term
@@ -91,7 +86,7 @@ def _log_geometric(x: float, count: int) -> float:
     if x == 0:
         return math.log(count)
     y = -abs(x)
-    return max(x, 0.0) * (count - 1) + _log1mexp(count * y) - _log1mexp(y)
+    return max(x, 0.0) * (count - 1) + math.log(math.expm1(count * y) / math.expm1(y))
 
 
 def _log_of(x: float) -> float:

@@ -237,8 +237,9 @@ class TestPathSum:
 
     def test_divergent_sum_matches_decimal_at_a_million_sizes(self):
         """n = 10^6, Delta = 16, k = 2, sigma = 6 from r = 4 (the
-        prop:verylargegirth sum at g = 4): a running sum of its 999,997 logs
-        drifted to 2367136.547226011, 1.1e-11 relative off."""
+        prop:verylargegirth sum at g = 4).  A running sum of its 999,997 logs,
+        as `reference_path_sum` adds them, reads 2367136.547226011 there,
+        1.1e-11 relative off."""
         with localcontext() as ctx:
             ctx.prec, ctx.Emax = 50, 10**7
             q = Decimal(16 * 2**2) / 6
