@@ -483,8 +483,6 @@ def pair_expectation_sum(
     """
     _check(sigma >= 3, "need sigma >= 3")
     _check(l_min >= 3, "need l_min >= 3")
-    if l_max - l_min > 3000:
-        raise InvalidParameterError("pair sum limited to 3000 sizes")
     params = {"n": n, "delta": delta, "sigma": sigma, "l_min": l_min, "l_max": l_max}
     log_delta = _log_of(delta)
     r_ratio = log_delta + 2 * math.log(2) - math.log(sigma - 1)

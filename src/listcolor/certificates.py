@@ -37,26 +37,24 @@ EVEN = "even"
 
 # The guards of the searches, one decision for all three kinds: triples are
 # searched on at most _MAX_TRIPLE vertices, and every step search (pair
-# states, trees built over all roots, colorings scanned per tree) stops
-# after _MAX_STEPS steps.  A search past its guard raises GuardExceededError
-# instead of under-reporting.
+# states, trees built over all roots) stops after _MAX_STEPS steps.  A
+# search past its guard raises GuardExceededError instead of under-reporting.
 _MAX_TRIPLE = 12
 _MAX_STEPS = 10**6
 
 
 class _Budget:
-    """_MAX_STEPS steps of one search; the next raises with `message`."""
+    """_MAX_STEPS steps of one search; the next raises GuardExceededError."""
 
-    __slots__ = ("left", "message")
+    __slots__ = ("left",)
 
-    def __init__(self, message: str = "sequence search budget exhausted"):
+    def __init__(self):
         self.left = _MAX_STEPS
-        self.message = message
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise GuardExceededError(self.message)
+            raise GuardExceededError("sequence search budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -533,26 +531,6 @@ class RootedProperTree:
             ch[v].sort()
         return ch
 
-    def tree_neighbors(self) -> dict[int, list[int]]:
-        nb = self.children()
-        for c, p in self.parent.items():
-            nb[c].append(p)
-        for v in nb:
-            nb[v].sort()
-        return nb
-
-    def depths_from(self, origin: int) -> dict[int, int]:
-        nb = self.tree_neighbors()
-        dist = {origin: 0}
-        queue = deque([origin])
-        while queue:
-            v = queue.popleft()
-            for w in nb[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
-
     def check_shape(self) -> None:
         """The rules that need no graph, one shape rule for both parities.
         The side depth of a vertex is its tree distance to the nearer origin
@@ -663,63 +641,75 @@ def build_proper_trees(
 def is_tree_bad(
     tree: RootedProperTree, assignment: ListAssignment
 ) -> tuple[bool, Coloring | None]:
-    """Decide tree-badness, returning a witness coloring of the tree minus
-    its root: the root's list must equal its tree-neighbors' color set, and
-    every internal vertex's non-own list colors must equal its children's
-    color set (measured from the root, and from the semiroot too on even
-    trees).  A tree of the wrong shape raises CertificateError; its edges
-    are not checked against any graph."""
+    """Decide tree-badness, returning a witness coloring phi of the tree
+    minus its root.  The rule, one for both parities: the root's children
+    carry exactly the colors L(root), and every other vertex v with children
+    carries exactly L(v) - phi(v) on them.  The witness is the first such
+    phi in order of ascending vertex id, then ascending color.  A tree of the
+    wrong shape raises CertificateError; its edges are not checked against
+    any graph."""
     tree.check_shape()
-    return _tree_badness(tree, assignment)
+    phi: Coloring = {}
+    if not _tree_bad(tree, assignment, phi):
+        return False, None
+    # fix each vertex to its smallest color with which the tree stays bad
+    for v in tree.vertices:
+        if v != tree.root:
+            for c in assignment[v]:
+                phi[v] = c
+                if _tree_bad(tree, assignment, phi):
+                    break
+    return True, phi
 
 
-def _tree_badness(tree: RootedProperTree, assignment) -> tuple[bool, Coloring | None]:
-    """is_tree_bad on a tree already known to have the right shape."""
-    nb = tree.tree_neighbors()
-    colored = sorted(v for v in tree.vertices if v != tree.root)
-    adj = {v: tuple(w for w in nb[v] if w != tree.root) for v in colored}
-    depths = [tree.depths_from(tree.root)]
-    if tree.parity == EVEN:
-        depths.append(tree.depths_from(tree.semiroot))
-    top = (tree.girth - 3) // 2  # the internal depths; (girth - 4) // 2 at even girth
+def _tree_bad(tree: RootedProperTree, assignment, pinned: Coloring) -> bool:
+    """is_tree_bad's verdict on a tree of the right shape, each vertex of
+    `pinned` held to its color; one pass, leaves up.  A color c fits v when
+    v's children can take the colors L(v) - c one each, each child a color
+    that fits it; a leaf fits its whole list."""
+    ch = tree.children()
+    order = [tree.root]
+    for v in order:
+        order.extend(ch[v])
+    fits: dict[int, list[int]] = {}
+    for v in reversed(order[1:]):
+        colors = (pinned[v],) if v in pinned else assignment[v]
+        fits[v] = [c for c in colors
+                   if not ch[v] or _matched(ch[v], set(assignment[v]) - {c}, fits)]
+    return _matched(ch[tree.root], set(assignment[tree.root]), fits)
 
-    def conditions(phi) -> bool:
-        if set(assignment[tree.root]) != {phi[x] for x in nb[tree.root]}:
-            return False
-        for x in colored:
-            for depth in depths:
-                d = depth[x]
-                if 1 <= d <= top:
-                    want = set(assignment[x]) - {phi[x]}
-                    got = {phi[y] for y in nb[x] if depth[y] == d + 1}
-                    if want != got:
-                        return False
-        return True
 
-    budget = _Budget("tree coloring scan budget exhausted")
-    for phi in _proper_colorings(colored, adj, assignment):
-        budget.spend()
-        if conditions(phi):
-            return True, dict(phi)
-    return False, None
+def _matched(kids, colors: set[int], fits) -> bool:
+    """Whether the kids take the colors one each, each kid a color from its
+    `fits`: a perfect matching, found by augmenting paths."""
+    owner: dict[int, int] = {}
+
+    def augment(v, seen) -> bool:
+        for c in fits[v]:
+            if c in colors and c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = v
+                    return True
+        return False
+
+    return len(kids) == len(colors) and all(augment(v, set()) for v in kids)
 
 
 def find_tree_bad(g: Graph, assignment: ListAssignment) -> RootedProperTree | None:
     """Search every root (and semiroot, for even girth) for a tree-bad
     rooted k-proper tree, k = assignment.k; None when no tree qualifies.
-    One budget bounds the trees built over all roots.  Rooted proper trees
-    need k >= 2."""
+    One budget bounds the trees built over all roots.  An instance the tree
+    kind's `obstacle` refuses raises InvalidParameterError with its reason."""
     require_lists_for(g, assignment)
-    k = assignment.k
-    if k < 2:
-        raise InvalidParameterError(f"tree certificates need k >= 2, got k={k}")
-    gv = girth(g)
-    if gv == INFINITE_GIRTH:
-        raise InvalidParameterError("tree certificates need a graph with finite girth")
+    obstacle = CERTIFICATE_KINDS["tree"].obstacle(assignment.k, g)
+    if obstacle is not None:
+        raise InvalidParameterError(obstacle)
+    gv = int(girth(g))
     budget = _Budget()
     for root in range(g.n):
-        for tree in _proper_trees(g, k, root, int(gv), budget):
-            if _tree_badness(tree, assignment)[0]:  # built trees have the shape
+        for tree in _proper_trees(g, assignment.k, root, gv, budget):
+            if _tree_bad(tree, assignment, {}):  # built trees have the shape
                 return tree
     return None
 

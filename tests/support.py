@@ -11,6 +11,7 @@ from listcolor.certificates import (
     OrderedSeq,
     ProperPair,
     ProperTriple,
+    RootedProperTree,
     _alt_distances,
     alternating_chain,
 )
@@ -194,6 +195,73 @@ def count_nonconsecutive(pair: ProperPair) -> int:
         if (min(u, w), max(u, w)) not in h1_edges:
             r += 1
     return r
+
+
+def projective_plane_incidence(q: int) -> Graph:
+    """Point-line incidence graph of PG(2, q) for a prime q: points 0..m-1
+    and lines m..2m-1, m = q^2 + q + 1, each a normalized triple over GF(q),
+    and a point lies on a line when their dot product is 0 mod q.  The graph
+    is (q+1)-regular with girth 6."""
+    triples = (
+        [(1, a, b) for a in range(q) for b in range(q)]
+        + [(0, 1, a) for a in range(q)]
+        + [(0, 0, 1)]
+    )
+    m = len(triples)
+    return Graph(2 * m, [
+        (i, m + j) for i, p in enumerate(triples) for j, line in enumerate(triples)
+        if sum(x * y for x, y in zip(p, line)) % q == 0
+    ])
+
+
+def free_color_vertices(
+    tree: RootedProperTree, assignment: ListAssignment, phi: Coloring
+) -> set[int]:
+    """The tree vertices whose lists keep a color that neither they nor
+    their children carry under phi (the root carries none).  phi must color
+    the tree minus its root from the lists.  phi meets the tree-bad rule iff
+    these are exactly the childless vertices: with k - 1 children (k at the
+    root), covering a k-list leaves no color to repeat."""
+    ch = tree.children()
+    if set(phi) != set(ch) - {tree.root}:
+        raise CertificateError("phi must color exactly the tree minus its root")
+    if any(phi[v] not in assignment[v] for v in phi):
+        raise CertificateError("phi colors a vertex outside its list")
+    return {v for v in ch if set(assignment[v]) - {phi.get(v)} - {phi[c] for c in ch[v]}}
+
+
+def reference_tree_bad(
+    tree: RootedProperTree, assignment: ListAssignment
+) -> tuple[bool, Coloring | None]:
+    """`certificates.is_tree_bad` as a plain enumeration: the first coloring
+    phi of the tree minus its root, vertices in ascending id and each over
+    its list in ascending order, under which the root's children carry
+    exactly L(root) and every other vertex v with children carries exactly
+    L(v) - phi(v).  A partial coloring is dropped once some vertex's colored
+    children repeat a color or carry one outside that set."""
+    ch = tree.children()
+    order = sorted(v for v in ch if v != tree.root)
+    phi: Coloring = {}
+
+    def broken(v) -> bool:
+        if v != tree.root and v not in phi:
+            return False
+        got = [phi[c] for c in ch[v] if c in phi]
+        return len(set(got)) < len(got) or not set(got) <= set(assignment[v]) - {phi.get(v)}
+
+    def extend(i) -> bool:
+        if i == len(order):
+            return all(set(assignment[v]) - {phi.get(v)} == {phi[c] for c in ch[v]}
+                       for v in ch if ch[v])
+        v = order[i]
+        for c in assignment[v]:
+            phi[v] = c
+            if not broken(v) and not broken(tree.parent[v]) and extend(i + 1):
+                return True
+        del phi[v]
+        return False
+
+    return (True, phi) if extend(0) else (False, None)
 
 
 def reference_solve(g: Graph, assignment: ListAssignment) -> SolveResult:

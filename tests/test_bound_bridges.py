@@ -9,12 +9,21 @@ from listcolor.bounds import (
     expected_identical_cliques_exact,
     pair_count_bound,
     pair_expectation_sum,
+    tree_bad_expectation_bound,
 )
-from listcolor.certificates import CYCLE, LOLLIPOP, OrderedSeq, ProperPair
-from listcolor.graphs import Graph, complete_multipartite, power_cycle
+from listcolor.certificates import (
+    CYCLE,
+    LOLLIPOP,
+    OrderedSeq,
+    ProperPair,
+    find_tree_bad,
+    is_tree_bad,
+)
+from listcolor.corpus import corpus_assignments, small_connected_graphs
+from listcolor.graphs import Graph, complete_multipartite, girth, power_cycle
 from listcolor.lists import SeedSpec, derive_seed, prob_identical_lists, sample_assignment
 
-from support import count_nonconsecutive
+from support import count_nonconsecutive, free_color_vertices
 
 
 def enumerate_ordered_sequences(g, start):
@@ -63,6 +72,29 @@ def test_pair_count_bound_exceeds_exhaustive_enumeration():
         for (l, r), count in tally.items():
             bound = g.n * delta ** (l - 1 + r) * 2**l
             assert count <= bound, (g, l, r, count, bound)
+
+
+def test_tree_bad_witnesses_keep_free_colors_at_leaves_only():
+    """tree_bad_expectation_bound gives C(sigma-1, k-1) choices to each of
+    `leaf_exponent` lists and none to the others: in every bad tree found on
+    a corpus slice, the witness leaves free colors at exactly the childless
+    vertices, and there are leaf_exponent of them."""
+    found = 0
+    for gi, g in enumerate(small_connected_graphs(6)):
+        if not 3 < girth(g) < math.inf:
+            continue
+        for _, a in corpus_assignments(g, gi, 30, ((2, 3), (2, 4), (3, 4)), base_seed=7):
+            tree = find_tree_bad(g, a)
+            if tree is None:
+                continue
+            found += 1
+            ok, phi = is_tree_bad(tree, a)
+            assert ok
+            free = free_color_vertices(tree, a, phi)
+            assert free == {v for v, kids in tree.children().items() if not kids}, tree
+            bound = tree_bad_expectation_bound(g.n, g.max_degree(), a.k, a.sigma, tree.girth)
+            assert len(free) == bound.extras["leaf_exponent"]
+    assert found > 100
 
 
 def test_identical_list_frequency_matches_closed_form():

@@ -34,7 +34,7 @@ from listcolor.errors import (
     ListColorError,
 )
 from listcolor.graphs import Graph, complete_multipartite, girth, petersen, power_cycle
-from listcolor.lists import ListAssignment
+from listcolor.lists import ListAssignment, SeedSpec, derive_seed, sample_assignment
 from listcolor.solver import brute_force_colorable, extract_critical, solve
 
 from conftest import uniform_lists
@@ -44,8 +44,11 @@ from support import (
     count_proper_triples_by_m,
     enumerate_proper_triples,
     find_alternating_paths,
+    free_color_vertices,
     induced_rank,
     is_L_alternating,
+    projective_plane_incidence,
+    reference_tree_bad,
 )
 
 
@@ -501,6 +504,12 @@ class TestProperTrees:
         assert tree is not None and tree.parity == ODD
         assert is_tree_bad(tree, a)[0]
 
+    def test_trees_need_girth_above_three(self, k4):
+        """The finder refuses what the tree kind's obstacle refuses, with the
+        same message."""
+        with pytest.raises(InvalidParameterError, match="tree certificates need girth above 3"):
+            find_tree_bad(k4, uniform_lists(4, (1, 2, 3)))
+
     def test_trees_need_two_lists(self):
         """k=1 has no rooted proper tree: proper_tree_size rejects it, and so
         do the finder and the kind's applicability rule."""
@@ -541,37 +550,87 @@ class TestProperTrees:
         monkeypatch.setattr(certs, "_MAX_STEPS", 119)
         with pytest.raises(GuardExceededError, match="sequence search budget exhausted"):
             find_tree_bad(g, a)
-        # on K_{3,3} the 13th tree built is the first tree-bad one
+        # on K_{3,3} the 14th tree built is the first tree-bad one; the 13th
+        # leaves its semiroot's color 4 free, which girth 4 does not allow
         g = complete_multipartite([3, 3])
         a = ListAssignment(4, 2, [(1, 3), (2, 3), (2, 4), (2, 4), (2, 3), (2, 4)])
         first = find_tree_bad(g, a)
-        monkeypatch.setattr(certs, "_MAX_STEPS", 13)
+        monkeypatch.setattr(certs, "_MAX_STEPS", 14)
         assert find_tree_bad(g, a) == first
-        monkeypatch.setattr(certs, "_MAX_STEPS", 12)
+        monkeypatch.setattr(certs, "_MAX_STEPS", 13)
         with pytest.raises(GuardExceededError, match="sequence search budget exhausted"):
             find_tree_bad(g, a)
 
-    def test_tree_scan_budget_counts_colorings(self, monkeypatch):
-        # the Petersen tree at root 0 has 2688 proper colorings from these
-        # lists and none is a witness; from the second lists the 2525th is
+    def test_tree_check_needs_no_budget(self, monkeypatch):
+        # a one-step budget changes neither verdict, nor list b's witness
         g = petersen()
         tree = next(build_proper_trees(g, 3, 0, 5))
         a = ListAssignment(4, 3, [(2, 3, 4), (1, 3, 4), (1, 3, 4), (1, 2, 4), (1, 3, 4),
                                   (1, 3, 4), (1, 3, 4), (1, 2, 4), (2, 3, 4), (1, 3, 4)])
         b = ListAssignment(4, 3, [(2, 3, 4), (1, 2, 3), (1, 2, 3), (2, 3, 4), (1, 3, 4),
                                   (2, 3, 4), (1, 2, 3), (1, 3, 4), (1, 3, 4), (1, 2, 3)])
-        witnessed = is_tree_bad(tree, b)
-        assert witnessed[0]
-        monkeypatch.setattr(certs, "_MAX_STEPS", 2688)
+        monkeypatch.setattr(certs, "_MAX_STEPS", 1)
         assert is_tree_bad(tree, a) == (False, None)
-        monkeypatch.setattr(certs, "_MAX_STEPS", 2687)
-        with pytest.raises(GuardExceededError, match="tree coloring scan budget exhausted"):
-            is_tree_bad(tree, a)
-        monkeypatch.setattr(certs, "_MAX_STEPS", 2525)
-        assert is_tree_bad(tree, b) == witnessed
-        monkeypatch.setattr(certs, "_MAX_STEPS", 2524)
-        with pytest.raises(GuardExceededError, match="tree coloring scan budget exhausted"):
-            is_tree_bad(tree, b)
+        assert is_tree_bad(tree, b) == (
+            True, {1: 3, 2: 1, 3: 3, 4: 4, 5: 2, 6: 2, 7: 3, 8: 4, 9: 1}
+        )
+
+    def test_lists_longer_than_the_trees_k_are_never_bad(self, c5):
+        # a k = 2 tree with 3-lists: no vertex with children can carry its
+        # colors one per child
+        tree = next(build_proper_trees(c5, 2, 0, 5))
+        a = uniform_lists(5, (1, 2, 3))
+        assert is_tree_bad(tree, a) == reference_tree_bad(tree, a) == (False, None)
+
+    def test_girth_four_semiroot_is_constrained(self):
+        # a colorable instance: the semiroot 3 has children, so its list
+        # {2, 4} may keep no color free, and with 0 colored 1 it keeps 4
+        g = complete_multipartite([3, 3])
+        a = ListAssignment(4, 2, [(1, 3), (2, 3), (2, 4), (2, 4), (2, 3), (2, 4)])
+        tree = RootedProperTree(EVEN, 4, 2, 1, 3, {3: 1, 4: 1, 0: 3})
+        tree.validate(g)
+        assert is_tree_bad(tree, a) == (False, None)
+
+    def test_verdicts_and_witnesses_match_the_reference(self):
+        # the trees of test_every_built_tree_validates, two seeded list
+        # assignments each at the tree's k and sigma up to 6
+        fano = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+        heawood = Graph(14, [(p, 7 + i) for i, line in enumerate(fano) for p in line])
+        cube = Graph(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+        graphs = [petersen(), heawood, cube, complete_multipartite([3, 3]),
+                  complete_multipartite([4, 4])] + [power_cycle(n, 1) for n in range(5, 9)]
+        checked = bad = 0
+        for g in graphs:
+            for k in range(2, min(len(nb) for nb in g.adjacency) + 1):
+                for root in range(g.n):
+                    for tree in build_proper_trees(g, k, root):
+                        for _ in range(2):
+                            sigma = k + 1 + checked % (6 - k)
+                            a = sample_assignment(g, k, sigma, SeedSpec(derive_seed(77, checked)))
+                            verdict = is_tree_bad(tree, a)
+                            assert verdict == reference_tree_bad(tree, a), (tree, a.lists)
+                            checked += 1
+                            bad += verdict[0]
+        assert checked == 2 * 1702
+        assert 0 < bad < checked
+
+    def test_26_vertex_trees_are_decided_without_a_budget(self, monkeypatch):
+        """PG(2,3) at k = 4: the tree spans all 26 vertices, and no check of
+        it spends a step of the 1000-step budget."""
+        monkeypatch.setattr(certs, "_MAX_STEPS", 1000)
+        g = projective_plane_incidence(3)
+        tree = next(build_proper_trees(g, 4, 0))
+        assert tree.size == g.n == 26
+        leaves = {v for v, kids in tree.children().items() if not kids}
+        verdicts = []
+        for sigma in (5, 6):
+            for i in range(20):
+                a = sample_assignment(g, 4, sigma, SeedSpec(derive_seed(31, sigma, i)))
+                ok, phi = is_tree_bad(tree, a)
+                if ok:
+                    assert free_color_vertices(tree, a, phi) == leaves
+                verdicts.append(ok)
+        assert verdicts.count(True) == 28
 
 
 class TestLemmaImplicationsSmall:

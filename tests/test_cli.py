@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -7,6 +8,8 @@ from listcolor.bounds import REGIME_NAMES
 from listcolor.cli import _BOUND_SPECS, cli_main
 from listcolor.graphs import complete_multipartite, power_cycle, read_graph, write_graph
 from listcolor.lists import read_lists
+
+from support import reference_pair_sum
 
 
 @pytest.fixture
@@ -234,6 +237,17 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--bound=eq:Qk", "--k=3", "--g=5")
         assert code == 0
         assert json.loads(out)["value"] == 10
+
+    def test_pair_sum_takes_5000_sizes(self, capsys):
+        """No size cap: each size's r-sum is one closed form, so 5000 sizes
+        stay cheap.  The reference adds the 12.5 million terms one by one."""
+        code, out, err = run(
+            capsys, "bound", "--bound=sum:pairs", "--n=100", "--delta=2", "--sigma=30",
+            "--l-max=5000",
+        )
+        assert (code, err) == (0, "")
+        log = json.loads(out)["log_value"]
+        assert math.isclose(log, reference_pair_sum(100, 2, 30, 5000), rel_tol=1e-12)
 
     def test_regime_reports(self, capsys):
         code, out, _ = run(
