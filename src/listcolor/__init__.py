@@ -30,7 +30,6 @@ from .certificates import (
     ProperTriple,
     RootedProperTree,
     alternating_chain,
-    build_proper_trees,
     certificate_to_json,
     find_2bad_pair,
     find_bad_triple,

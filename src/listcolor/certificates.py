@@ -35,16 +35,16 @@ LOLLIPOP = "lollipop"
 ODD = "odd"
 EVEN = "even"
 
-# The guards of the searches, one decision for all three kinds: triples are
-# searched on at most _MAX_TRIPLE vertices, and every step search (pair
-# states, trees built over all roots) stops after _MAX_STEPS steps.  A
-# search past its guard raises GuardExceededError instead of under-reporting.
+# The guards of the searches: triples are searched on at most _MAX_TRIPLE
+# vertices, and the pair search stops after _MAX_STEPS states.  A search past
+# its guard raises GuardExceededError instead of under-reporting.  The tree
+# search and the tree check are polynomial and have no guard.
 _MAX_TRIPLE = 12
 _MAX_STEPS = 10**6
 
 
 class _Budget:
-    """_MAX_STEPS steps of one search; the next raises GuardExceededError."""
+    """_MAX_STEPS states of one pair search; the next raises GuardExceededError."""
 
     __slots__ = ("left",)
 
@@ -584,60 +584,6 @@ class RootedProperTree:
         self.check_edges(g)
 
 
-def _grow_levels(g, level, used, parent, branchings, budget) -> Iterator[dict[int, int]]:
-    if not branchings:
-        budget.spend()
-        yield dict(parent)
-        return
-    b = branchings[0]
-    adj = g.adjacency
-
-    def assign(i, next_level, used_now):
-        if i == len(level):
-            yield from _grow_levels(g, tuple(next_level), used_now, parent, branchings[1:], budget)
-            return
-        u = level[i]
-        candidates = [w for w in adj[u] if w not in used_now]
-        for combo in itertools.combinations(candidates, b):
-            for w in combo:
-                parent[w] = u
-            yield from assign(i + 1, next_level + list(combo), used_now | set(combo))
-            for w in combo:
-                del parent[w]
-
-    yield from assign(0, [], used)
-
-
-def _proper_trees(g, k, root, girth_value, budget) -> Iterator[RootedProperTree]:
-    """Every rooted k-proper tree at `root` for this girth, spending one step
-    of `budget` per tree.  The origins are (root,) at odd girth and
-    (root, semiroot) for each semiroot in ascending order at even girth; the
-    first level branches k + 1 - len(origins) ways from each origin, and
-    (girth - 1) // 2 - 1 more levels branch k - 1 ways."""
-    parity = ODD if girth_value % 2 else EVEN
-    semiroots = (None,) if parity == ODD else g.adjacency[root]
-    for semi in semiroots:
-        origins = (root,) if semi is None else (root, semi)
-        parent = {} if semi is None else {semi: root}
-        branchings = [k + 1 - len(origins)] + [k - 1] * ((girth_value - 1) // 2 - 1)
-        for tree_parent in _grow_levels(g, origins, set(origins), parent, branchings, budget):
-            yield RootedProperTree(parity, girth_value, k, root, semi, tree_parent)
-
-
-def build_proper_trees(
-    g: Graph, k: int, root: int, girth_value: int | None = None
-) -> Iterator[RootedProperTree]:
-    """All odd (odd girth) or even (even girth) rooted k-proper trees rooted
-    at `root`; for even girth the semiroot iterates over the root's neighbors
-    in ascending order.  Every tree has exactly proper_tree_size(k, girth)
-    vertices."""
-    if girth_value is None:
-        girth_value = girth(g)
-    if girth_value == INFINITE_GIRTH:
-        raise InvalidParameterError("rooted proper trees need a graph with finite girth")
-    yield from _proper_trees(g, k, root, int(girth_value), _Budget())
-
-
 def is_tree_bad(
     tree: RootedProperTree, assignment: ListAssignment
 ) -> tuple[bool, Coloring | None]:
@@ -645,73 +591,124 @@ def is_tree_bad(
     minus its root.  The rule, one for both parities: the root's children
     carry exactly the colors L(root), and every other vertex v with children
     carries exactly L(v) - phi(v) on them.  The witness is the first such
-    phi in order of ascending vertex id, then ascending color.  A tree of the
-    wrong shape raises CertificateError; its edges are not checked against
-    any graph."""
+    phi in order of ascending vertex id, then ascending color.  Lists of
+    another size than the tree's k are never bad.  A tree of the wrong shape
+    raises CertificateError; its edges are not checked against any graph."""
     tree.check_shape()
+    if assignment.k != tree.k:
+        return False, None
+    origins = (tree.root,) if tree.semiroot is None else (tree.root, tree.semiroot)
+    kids = {v: [c for c in ch if c not in origins] for v, ch in tree.children().items() if ch}
     phi: Coloring = {}
-    if not _tree_bad(tree, assignment, phi):
+    if _fits(origins, kids, assignment, phi) is None:
         return False, None
     # fix each vertex to its smallest color with which the tree stays bad
     for v in tree.vertices:
         if v != tree.root:
             for c in assignment[v]:
                 phi[v] = c
-                if _tree_bad(tree, assignment, phi):
+                if _fits(origins, kids, assignment, phi) is not None:
                     break
     return True, phi
 
 
-def _tree_bad(tree: RootedProperTree, assignment, pinned: Coloring) -> bool:
-    """is_tree_bad's verdict on a tree of the right shape, each vertex of
-    `pinned` held to its color; one pass, leaves up.  A color c fits v when
-    v's children can take the colors L(v) - c one each, each child a color
-    that fits it; a leaf fits its whole list."""
-    ch = tree.children()
-    order = [tree.root]
+def _fits(origins, kids, lists, pinned: Coloring) -> dict[int, list[int]] | None:
+    """The leaves-up pass over the tree that `kids` spans from the origins
+    (the root, then an even tree's semiroot, which is not a kid of the
+    root).  A color c fits v when v's kids can take L(v) - c, each color its
+    own kid and each kid a color that fits it; a vertex without kids fits
+    its whole list, and one in `pinned` only its pinned color.  The root is
+    bad when its kids take L(root), less a color that fits the semiroot if
+    there is one.  The fits of the non-root vertices if so, else None."""
+    order = list(origins)
     for v in order:
-        order.extend(ch[v])
+        order.extend(kids.get(v, ()))
     fits: dict[int, list[int]] = {}
     for v in reversed(order[1:]):
-        colors = (pinned[v],) if v in pinned else assignment[v]
+        colors = (pinned[v],) if v in pinned else lists[v]
         fits[v] = [c for c in colors
-                   if not ch[v] or _matched(ch[v], set(assignment[v]) - {c}, fits)]
-    return _matched(ch[tree.root], set(assignment[tree.root]), fits)
+                   if v not in kids or _matched(kids[v], set(lists[v]) - {c}, fits)]
+    want = set(lists[origins[0]])
+    held = [set()] if len(origins) == 1 else [{c} for c in fits[origins[1]] if c in want]
+    return fits if any(_matched(kids[origins[0]], want - h, fits) for h in held) else None
 
 
 def _matched(kids, colors: set[int], fits) -> bool:
-    """Whether the kids take the colors one each, each kid a color from its
-    `fits`: a perfect matching, found by augmenting paths."""
-    owner: dict[int, int] = {}
+    """Whether every color goes to its own kid, each kid a color from its
+    `fits`: a matching that covers the colors, found by augmenting paths
+    no longer than the colors."""
+    taken: dict[int, int] = {}  # kid -> its color
 
-    def augment(v, seen) -> bool:
-        for c in fits[v]:
-            if c in colors and c not in seen:
-                seen.add(c)
-                if c not in owner or augment(owner[c], seen):
-                    owner[c] = v
+    def augment(c, seen) -> bool:
+        for v in kids:
+            if v not in seen and c in fits[v]:
+                seen.add(v)
+                if v not in taken or augment(taken[v], seen):
+                    taken[v] = c
                     return True
         return False
 
-    return len(kids) == len(colors) and all(augment(v, set()) for v in kids)
+    return len(colors) <= len(kids) and all(augment(c, set()) for c in colors)
 
 
 def find_tree_bad(g: Graph, assignment: ListAssignment) -> RootedProperTree | None:
-    """Search every root (and semiroot, for even girth) for a tree-bad
-    rooted k-proper tree, k = assignment.k; None when no tree qualifies.
-    One budget bounds the trees built over all roots.  An instance the tree
-    kind's `obstacle` refuses raises InvalidParameterError with its reason."""
+    """The first tree-bad rooted k-proper tree, k = assignment.k, or None
+    when no tree qualifies.  The order: by root, ascending; at even girth
+    then by semiroot, over the root's neighbors in ascending order; then by
+    each vertex's children, vertices in breadth-first order, as
+    combinations (itertools order) of its neighbors other than its parent.
+    An instance the tree kind's `obstacle` refuses raises
+    InvalidParameterError with its reason."""
     require_lists_for(g, assignment)
     obstacle = CERTIFICATE_KINDS["tree"].obstacle(assignment.k, g)
     if obstacle is not None:
         raise InvalidParameterError(obstacle)
     gv = int(girth(g))
-    budget = _Budget()
     for root in range(g.n):
-        for tree in _proper_trees(g, assignment.k, root, gv, budget):
-            if _tree_bad(tree, assignment, {}):  # built trees have the shape
-                return tree
+        for semi in (None,) if gv % 2 else g.adjacency[root]:
+            origins = (root,) if semi is None else (root, semi)
+            parent = _first_bad_tree(g, assignment, origins, (gv - 1) // 2)
+            if parent is not None:
+                parity = ODD if semi is None else EVEN
+                return RootedProperTree(parity, gv, assignment.k, root, semi, parent)
     return None
+
+
+def _first_bad_tree(g, assignment, origins, radius) -> dict[int, int] | None:
+    """The parent links of the first tree-bad tree at these origins, or
+    None.  At girth above 2 * radius the ball of this radius around the
+    origins is a tree whose vertices above the leaves may take as children
+    any neighbors but their parents (the other origin, for an origin): one
+    pass over it decides every tree at once.  A bad tree is rebuilt breadth
+    first, each vertex keeping the first combination of its kids with which
+    the pass still finds one."""
+    up = dict(zip(origins, reversed(origins)))
+    kids: dict[int, list[int]] = {}
+    level = origins
+    for _ in range(radius):
+        for v in level:
+            kids[v] = [w for w in g.adjacency[v] if w != up[v]]
+            up.update(dict.fromkeys(kids[v], v))
+        level = [w for v in level for w in kids[v]]
+    fits = _fits(origins, kids, assignment, {})
+    if fits is None:
+        return None
+    k = assignment.k
+    parent = dict.fromkeys(origins[1:], origins[0])
+    order = list(origins)
+    for v in order:
+        if v in kids:
+            # a kid whose fits miss L(v) is in no bad tree; the rest keep their fits
+            useful = [w for w in kids[v] if not set(fits[w]).isdisjoint(assignment[v])]
+            combos = itertools.combinations(useful, k if origins == (v,) else k - 1)
+            kids[v] = next(combos)
+            for later in combos:  # the last combination left needs no pass
+                if _fits(origins, kids, assignment, {}) is not None:
+                    break
+                kids[v] = later
+            parent.update(dict.fromkeys(kids[v], v))
+            order.extend(kids[v])
+    return parent
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,8 @@ def _check_run_args(timeout_seconds, certificate_kinds, workers, error) -> None:
         raise error(
             f"timeout_seconds must be a non-negative number or null, got {timeout_seconds!r}"
         )
-    unknown = [kind for kind in certificate_kinds if kind not in certs.CERTIFICATE_KINDS]
+    unknown = [kind for kind in certificate_kinds
+               if not isinstance(kind, str) or kind not in certs.CERTIFICATE_KINDS]
     if unknown:
         raise error(
             f"unknown certificate kinds {unknown}; known: {', '.join(certs.CERTIFICATE_KINDS)}"
@@ -424,8 +425,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown graph family {family_name!r}; known: {', '.join(FAMILIES)}"
             )
-        if not isinstance(raw["n_grid"], (list, tuple)):
-            raise ConfigError(f"n_grid must be a list, got {raw['n_grid']!r}")
+        for key in ("n_grid", "sigma_grid", "certificates"):
+            if not isinstance(raw.get(key, []), (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
         n_grid = tuple(_config_int(x, "n_grid") for x in raw["n_grid"])
         trials = _config_int(raw["trials"], "trials")
         base_seed = _config_int(raw.get("base_seed", 0), "base_seed")
@@ -461,8 +463,8 @@ class ExperimentConfig:
         if not sigma_raw:
             raise ConfigError("sigma_grid must be non-empty")
         certificate_kinds = raw.get("certificates", ())
-        if not isinstance(certificate_kinds, (list, tuple)):
-            raise ConfigError(f"certificates must be a list, got {certificate_kinds!r}")
+        if not isinstance(raw.get("output_dir", ""), str):
+            raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
         timeout_seconds = raw.get("timeout_seconds", 5.0)
         _check_run_args(timeout_seconds, certificate_kinds, workers, ConfigError)
         config = cls(

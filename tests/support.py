@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from listcolor.bounds import _log_add, _log_of, _pow_log
 from listcolor.certificates import (
+    EVEN,
+    ODD,
     OrderedSeq,
     ProperPair,
     ProperTriple,
@@ -16,7 +19,7 @@ from listcolor.certificates import (
     alternating_chain,
 )
 from listcolor.errors import CertificateError, GuardExceededError, InvalidParameterError
-from listcolor.graphs import Graph, connected_components, vertex_set
+from listcolor.graphs import Graph, connected_components, girth, vertex_set
 from listcolor.lists import ListAssignment
 from listcolor.solver import COLORABLE, UNCOLORABLE, Coloring, SolveResult, SolveStats
 
@@ -228,6 +231,48 @@ def free_color_vertices(
     if any(phi[v] not in assignment[v] for v in phi):
         raise CertificateError("phi colors a vertex outside its list")
     return {v for v in ch if set(assignment[v]) - {phi.get(v)} - {phi[c] for c in ch[v]}}
+
+
+def build_proper_trees(
+    g: Graph, k: int, root: int, girth_value: int | None = None
+) -> Iterator[RootedProperTree]:
+    """Every rooted k-proper tree at `root` for girth `girth_value` (the
+    graph's when None), listed one by one in the order that
+    `certificates.find_tree_bad` searches them.  The origins are (root,) at
+    odd girth and (root, semiroot) for each semiroot over the root's
+    neighbors in ascending order at even girth.  The tree then grows level
+    by level, vertices in level order, each taking as children a
+    combination (itertools order) of its neighbors not yet in the tree: the
+    first level branches k + 1 - len(origins) ways from each origin, and
+    (girth - 1) // 2 - 1 more levels branch k - 1 ways."""
+    gv = int(girth(g) if girth_value is None else girth_value)
+    parity = ODD if gv % 2 else EVEN
+    for semi in (None,) if parity == ODD else g.adjacency[root]:
+        origins = (root,) if semi is None else (root, semi)
+        parent = {} if semi is None else {semi: root}
+        branchings = [k + 1 - len(origins)] + [k - 1] * ((gv - 1) // 2 - 1)
+        for tree_parent in _grow_levels(g, origins, set(origins), parent, branchings):
+            yield RootedProperTree(parity, gv, k, root, semi, tree_parent)
+
+
+def _grow_levels(g, level, used, parent, branchings) -> Iterator[dict[int, int]]:
+    if not branchings:
+        yield dict(parent)
+        return
+
+    def assign(i, next_level, used_now):
+        if i == len(level):
+            yield from _grow_levels(g, tuple(next_level), used_now, parent, branchings[1:])
+            return
+        u = level[i]
+        candidates = [w for w in g.adjacency[u] if w not in used_now]
+        for combo in itertools.combinations(candidates, branchings[0]):
+            parent.update(dict.fromkeys(combo, u))
+            yield from assign(i + 1, next_level + list(combo), used_now | set(combo))
+            for w in combo:
+                del parent[w]
+
+    yield from assign(0, [], used)
 
 
 def reference_tree_bad(

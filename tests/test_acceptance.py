@@ -22,7 +22,6 @@ from listcolor.bounds import (
 from listcolor.certificates import (
     OrderedSeq,
     ProperPair,
-    build_proper_trees,
     find_2bad_pair,
     find_bad_triple,
     find_tree_bad,
@@ -36,6 +35,7 @@ from listcolor.harness import ExperimentConfig, sweep
 from listcolor.lists import SeedSpec, derive_seed, sample_assignment
 from listcolor.solver import brute_force_colorable, solve
 from support import (
+    build_proper_trees,
     count_nonconsecutive,
     count_proper_triples_by_m,
     enumerate_proper_triples,

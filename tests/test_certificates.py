@@ -16,7 +16,6 @@ from listcolor.certificates import (
     ProperTriple,
     RootedProperTree,
     alternating_chain,
-    build_proper_trees,
     certificate_to_json,
     find_2bad_pair,
     find_bad_triple,
@@ -33,13 +32,21 @@ from listcolor.errors import (
     InvalidParameterError,
     ListColorError,
 )
-from listcolor.graphs import Graph, complete_multipartite, girth, petersen, power_cycle
+from listcolor.graphs import (
+    INFINITE_GIRTH,
+    Graph,
+    complete_multipartite,
+    girth,
+    petersen,
+    power_cycle,
+)
 from listcolor.lists import ListAssignment, SeedSpec, derive_seed, sample_assignment
 from listcolor.solver import brute_force_colorable, extract_critical, solve
 
 from conftest import uniform_lists
 from support import (
     AlternatingPath,
+    build_proper_trees,
     count_nonconsecutive,
     count_proper_triples_by_m,
     enumerate_proper_triples,
@@ -428,6 +435,18 @@ MALFORMED_TREE_IDS = [
 ]
 
 
+def tree_graphs():
+    """Every corpus graph of finite girth above 3, then Petersen, Heawood,
+    the cube, K_{3,3}, K_{4,4}, K_{3,4}, PG(2,3) and C5..C9."""
+    fano = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+    heawood = Graph(14, [(p, 7 + i) for i, line in enumerate(fano) for p in line])
+    cube = Graph(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+    corpus = [g for g in small_connected_graphs(7) if 3 < girth(g) < INFINITE_GIRTH]
+    return corpus + [petersen(), heawood, cube, complete_multipartite([3, 3]),
+                     complete_multipartite([4, 4]), complete_multipartite([3, 4]),
+                     projective_plane_incidence(3)] + [power_cycle(n, 1) for n in range(5, 10)]
+
+
 class TestProperTrees:
     def test_petersen_trees_have_ten_vertices(self):
         g = petersen()
@@ -539,27 +558,63 @@ class TestProperTrees:
                 assert is_tree_bad(tree, a)[0]
                 tree.validate(g)
 
-    def test_tree_budget_spans_every_root(self, monkeypatch):
+    def test_tree_search_keeps_the_enumeration_order(self, monkeypatch):
+        # no tree search spends a step of the guard
+        monkeypatch.setattr(certs, "_MAX_STEPS", 1)
         # Petersen at k = 2 has 12 rooted trees at each of its 10 roots, and
         # none of the 120 is tree-bad for these lists
         g = petersen()
         a = ListAssignment(5, 2, [(2, 4), (1, 5), (4, 5), (2, 3), (3, 5),
                                   (3, 4), (2, 3), (2, 5), (1, 5), (1, 5)])
-        monkeypatch.setattr(certs, "_MAX_STEPS", 120)
+        trees = [tree for root in range(g.n) for tree in build_proper_trees(g, 2, root)]
+        assert len(trees) == 120
+        assert not any(reference_tree_bad(tree, a)[0] for tree in trees)
         assert find_tree_bad(g, a) is None
-        monkeypatch.setattr(certs, "_MAX_STEPS", 119)
-        with pytest.raises(GuardExceededError, match="sequence search budget exhausted"):
-            find_tree_bad(g, a)
         # on K_{3,3} the 14th tree built is the first tree-bad one; the 13th
         # leaves its semiroot's color 4 free, which girth 4 does not allow
         g = complete_multipartite([3, 3])
         a = ListAssignment(4, 2, [(1, 3), (2, 3), (2, 4), (2, 4), (2, 3), (2, 4)])
-        first = find_tree_bad(g, a)
-        monkeypatch.setattr(certs, "_MAX_STEPS", 14)
-        assert find_tree_bad(g, a) == first
-        monkeypatch.setattr(certs, "_MAX_STEPS", 13)
-        with pytest.raises(GuardExceededError, match="sequence search budget exhausted"):
-            find_tree_bad(g, a)
+        trees = [tree for root in range(g.n) for tree in build_proper_trees(g, 2, root)]
+        assert [reference_tree_bad(tree, a)[0] for tree in trees[:14]] == [False] * 13 + [True]
+        assert find_tree_bad(g, a) == trees[13]
+
+    def test_finder_returns_the_first_bad_tree_of_the_reference(self):
+        """find_tree_bad gives the first tree of the reference enumeration,
+        roots ascending, that reference_tree_bad finds bad, or None when no
+        tree is; seeded lists at k = 2 and 3 on every graph of tree_graphs()."""
+        found = checked = 0
+        for gi, g in enumerate(tree_graphs()):
+            for k in (2, 3):
+                sigma = k + 1 + gi % 2
+                a = sample_assignment(g, k, sigma, SeedSpec(derive_seed(41, gi, k)))
+                first = next((tree for root in range(g.n)
+                              for tree in build_proper_trees(g, k, root)
+                              if reference_tree_bad(tree, a)[0]), None)
+                assert find_tree_bad(g, a) == first, (gi, k, a.lists)
+                checked += 1
+                found += first is not None
+        assert 0 < found < checked
+
+    def test_finder_decides_a_499_cycle(self):
+        """The tree spans the whole cycle, 498 levels deep: neither the
+        finder nor the check recurses along it."""
+        n = 499
+        g, a = power_cycle(n, 1), ListAssignment(2, 2, [(1, 2)] * n)
+        tree = find_tree_bad(g, a)
+        assert (tree.root, tree.size, tree.parity) == (0, n, ODD)
+        ok, phi = is_tree_bad(tree, a)
+        assert ok and len(phi) == n - 1
+
+    def test_projective_plane_trees_need_no_budget(self, monkeypatch):
+        """PG(2,5) at k = 3, sigma = 8: a tree found past root 0 without a
+        step of a one-step guard, and the tree kind's check accepts it."""
+        monkeypatch.setattr(certs, "_MAX_STEPS", 1)
+        g = projective_plane_incidence(5)
+        a = sample_assignment(g, 3, 8, SeedSpec(derive_seed(7, 0)))
+        tree = find_tree_bad(g, a)
+        assert tree is not None and tree.root > 0
+        assert tree.size == proper_tree_size(3, 6)
+        assert certs.CERTIFICATE_KINDS["tree"].check(g, a, tree)[0]
 
     def test_tree_check_needs_no_budget(self, monkeypatch):
         # a one-step budget changes neither verdict, nor list b's witness
@@ -580,6 +635,13 @@ class TestProperTrees:
         # colors one per child
         tree = next(build_proper_trees(c5, 2, 0, 5))
         a = uniform_lists(5, (1, 2, 3))
+        assert is_tree_bad(tree, a) == reference_tree_bad(tree, a) == (False, None)
+
+    def test_lists_shorter_than_the_trees_k_are_never_bad(self):
+        # 2-lists on a k = 3 tree: the root's three children cannot carry
+        # its two colors one each
+        tree = next(build_proper_trees(petersen(), 3, 0, 5))
+        a = uniform_lists(10, (1, 2))
         assert is_tree_bad(tree, a) == reference_tree_bad(tree, a) == (False, None)
 
     def test_girth_four_semiroot_is_constrained(self):

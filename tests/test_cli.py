@@ -190,6 +190,19 @@ class TestCertify:
         assert (code, out) == (2, "")
         assert "tree certificates need k >= 2 lists" in err
 
+    def test_tree_of_a_499_cycle(self, tmp_path, capsys):
+        """The tree spans the whole cycle; finding and checking it recurses
+        no deeper than a few frames."""
+        c499 = tmp_path / "c499.txt"
+        c499.write_text(write_graph(power_cycle(499, 1)))
+        lists = tmp_path / "c499-lists.txt"
+        lists.write_text("sigma=2 k=2\n" + "\n".join(f"{v}: 1 2" for v in range(499)) + "\n")
+        code, out, err = run(capsys, "certify", "--graph", c499, "--lists", lists,
+                             "--kind", "tree")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["kind"], doc["root"], len(doc["edges"])) == ("tree-bad", 0, 498)
+
     @pytest.fixture
     def c13_files(self, tmp_path):
         """C13 with every list {1,2}: its 13-vertex critical core is above

@@ -149,9 +149,17 @@ class TestRunPoint:
         summary = point.summary()
         assert (summary["errors"], summary["timeouts"], summary["completed"]) == (1, 0, 9)
 
+    def test_tree_certificates_on_a_499_cycle(self):
+        """Every list is {1, 2}: each trial is uncolorable, and its tree
+        spans the whole cycle."""
+        point = run_point(power_cycle(499, 1), 499, 2, 2, 3, 0, None, ("tree",))
+        assert [(r.status, r.certificate) for r in point.records] == [("ok", "tree-bad")] * 3
+        assert point.p_hat == 0.0
+
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
         {"certificate_kinds": ("tripel",)},
+        {"certificate_kinds": (["triple"],)},
         {"timeout_seconds": "5"},
         {"timeout_seconds": -1.0},
     ])
@@ -484,6 +492,12 @@ class TestConfigSchema:
         {"workers": True},
         {"workers": "2"},
         {"workers": 2.5},
+        {"sigma_grid": "34"},  # not read one character at a time
+        {"sigma_grid": {"3": 1}},
+        {"sigma_grid": 3},
+        {"certificates": [["triple"]]},
+        {"output_dir": 5},  # not found only when the sweep writes
+        {"output_dir": None},
     ])
     def test_rejected_up_front(self, overrides):
         with pytest.raises(ConfigError):
