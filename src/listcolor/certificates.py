@@ -682,7 +682,7 @@ def _first_bad_tree(g, assignment, origins, radius) -> dict[int, int] | None:
     pass over it decides every tree at once.  A bad tree is rebuilt breadth
     first, each vertex keeping the first combination of its kids with which
     the pass still finds one."""
-    up = dict(zip(origins, reversed(origins)))
+    up = dict(zip(origins, reversed(origins)))  # an origin's parent is the other origin
     kids: dict[int, list[int]] = {}
     level = origins
     for _ in range(radius):
