@@ -37,6 +37,7 @@ records the label it finds, unchecked, and the suites check each one.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -69,14 +70,56 @@ CSV_COLUMNS = (
 )
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-# What ExperimentConfig.from_dict accepts; docs/config.schema.json must agree
-# (tests/test_harness.py checks it).
-_REQUIRED_KEYS = ("family", "n_grid", "sigma_grid", "trials")
-_CONFIG_KEYS = (
-    *_REQUIRED_KEYS,
-    "family_params", "k", "base_seed", "timeout_seconds", "certificates", "workers",
-    "output_dir",
-)
+_SCHEMA_FILE = Path(__file__).with_name("config.schema.json")
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+               "null": type(None)}
+
+
+@functools.cache
+def _schema() -> dict:
+    """Every config rule but the grid rules of ExperimentConfig.grid; see
+    docs/formats.md."""
+    return json.loads(_SCHEMA_FILE.read_text(encoding="utf-8"))
+
+
+def _has_type(value, name: str) -> bool:
+    """JSON Schema's types: a boolean is no number, an integer has no fraction."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _validate(value, schema: dict, where: str) -> None:
+    """Raise ConfigError unless `value`, named `where`, meets `schema`, read
+    in the subset of JSON Schema that config.schema.json uses."""
+    if "$ref" in schema:  # "#/$defs/<name>"
+        _validate(value, _schema()["$defs"][schema["$ref"].rpartition("/")[2]], where)
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_has_type(value, name) for name in types):
+        raise ConfigError(f"{where} must be of type {' or '.join(types)}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{where} must be one of {schema['enum']}, got {value!r}")
+    if "minimum" in schema and _has_type(value, "number") and not value >= schema["minimum"]:
+        raise ConfigError(f"{where} must be >= {schema['minimum']}, got {value!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigError(f"{where} needs at least {schema['minItems']} entries, got {value}")
+        for i, item in enumerate(value):
+            _validate(item, schema.get("items", {}), f"{where} item {i}")
+    if isinstance(value, dict):
+        missing = [key for key in schema.get("required", []) if key not in value]
+        if missing:
+            raise ConfigError(f"{where} misses keys {missing}")
+        properties = schema.get("properties", {})
+        unknown = sorted(set(value) - set(properties))
+        if unknown and schema.get("additionalProperties", True) is False:
+            raise ConfigError(f"{where} has unknown keys {unknown}")
+        for key, item in value.items():
+            if key in properties:
+                _validate(item, properties[key], repr(key))
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +142,6 @@ class GraphFamily:
 
     def _args(self, n: int) -> list:
         """The generator's arguments at n, scaling expressions evaluated."""
-        if self.name not in FAMILIES:
-            raise ConfigError(f"unknown graph family {self.name!r}")
-
         def as_int(raw):
             return raw.evaluate_int(n) if isinstance(raw, ScalingExpr) else int(raw)
 
@@ -112,31 +152,6 @@ class GraphFamily:
                 raise ConfigError(f"family {self.name!r} needs parameter {key!r}")
             args.append([as_int(p) for p in raw] if key == "parts" else as_int(raw))
         return args
-
-
-def _family_params(name: str) -> list[str]:
-    """The family_params keys a family needs: its generator's arguments but n."""
-    return [key for key in FAMILIES[name].arg_names if key != "n"]
-
-
-def _config_int(raw, key: str) -> int:
-    """A config value the schema types "integer": an int, or a float with no
-    fractional part; bools, strings and other numbers are rejected."""
-    if isinstance(raw, float) and raw.is_integer():
-        return int(raw)
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{key} must be an integer, got {raw!r}")
-    return raw
-
-
-def _coerce_expr(raw) -> ScalingExpr:
-    if isinstance(raw, ScalingExpr):
-        return raw
-    if isinstance(raw, (int, float)):
-        return parse_scaling(str(raw))
-    if isinstance(raw, str):
-        return parse_scaling(raw)
-    raise ConfigError(f"expected a number or expression string, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +230,22 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _check_run_args(timeout_seconds, certificate_kinds, workers, error) -> None:
-    """The checks run_point and ExperimentConfig share, raising `error`."""
-    if timeout_seconds is not None and (
-        isinstance(timeout_seconds, bool)
-        or not isinstance(timeout_seconds, (int, float))
-        or not timeout_seconds >= 0
+def _check_run_args(timeout_seconds, certificate_kinds, workers) -> None:
+    """run_point's checks of its timeout, certificate kinds and workers."""
+    if timeout_seconds is not None and not (
+        _has_type(timeout_seconds, "number") and timeout_seconds >= 0
     ):
-        raise error(
+        raise InvalidParameterError(
             f"timeout_seconds must be a non-negative number or null, got {timeout_seconds!r}"
         )
     unknown = [kind for kind in certificate_kinds
                if not isinstance(kind, str) or kind not in certs.CERTIFICATE_KINDS]
     if unknown:
-        raise error(
+        raise InvalidParameterError(
             f"unknown certificate kinds {unknown}; known: {', '.join(certs.CERTIFICATE_KINDS)}"
         )
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise error(f"workers must be an integer >= 1, got {workers!r}")
+        raise InvalidParameterError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _run_trial(g: Graph, job: tuple) -> TrialRecord:
@@ -362,7 +375,7 @@ def run_point(
         raise InvalidParameterError("need at least one trial")
     if k > sigma:
         raise InvalidParameterError(f"k={k} exceeds sigma={sigma}")
-    _check_run_args(timeout_seconds, certificate_kinds, workers, InvalidParameterError)
+    _check_run_args(timeout_seconds, certificate_kinds, workers)
     g = family if isinstance(family, Graph) else family.build(n)
     jobs = _point_jobs(n, k, sigma, trials, base_seed, timeout_seconds, certificate_kinds)
     if _records is None:
@@ -410,73 +423,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Validate `raw` against docs/config.schema.json's rules up front,
-        so no sweep fails on its config after it has started."""
-        if not isinstance(raw, dict):
-            raise ConfigError(f"a config is a JSON object, got {type(raw).__name__}")
-        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}")
-        missing = [key for key in _REQUIRED_KEYS if key not in raw]
-        if missing:
-            raise ConfigError(f"missing config keys {missing}")
-        family_name = raw["family"]
-        if not isinstance(family_name, str) or family_name not in FAMILIES:
-            raise ConfigError(
-                f"unknown graph family {family_name!r}; known: {', '.join(FAMILIES)}"
-            )
-        for key in ("n_grid", "sigma_grid", "certificates"):
-            if not isinstance(raw.get(key, []), (list, tuple)):
-                raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
-        n_grid = tuple(_config_int(x, "n_grid") for x in raw["n_grid"])
-        trials = _config_int(raw["trials"], "trials")
-        base_seed = _config_int(raw.get("base_seed", 0), "base_seed")
-        workers = _config_int(raw.get("workers", 1), "workers")
-        try:
-            raw_params = dict(raw.get("family_params", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config: {exc}") from None
-        if not n_grid:
-            raise ConfigError("n_grid must be non-empty")
-        if min(n_grid) < 1:
-            raise ConfigError(f"n_grid entries must be >= 1, got {list(n_grid)}")
-        if trials < 1:
-            raise ConfigError("trials must be >= 1")
-        known_params = {key for name in FAMILIES for key in _family_params(name)}
-        unknown = sorted(set(raw_params) - known_params)
-        if unknown:
-            raise ConfigError(f"unknown family_params keys {unknown}")
-        missing = [key for key in _family_params(family_name) if key not in raw_params]
-        if missing:
-            raise ConfigError(f"family {family_name!r} needs family_params {missing}")
-        params = {}
-        for key, value in raw_params.items():
-            if key == "parts":
-                if not isinstance(value, list):
-                    raise ConfigError(f"'parts' must be a list, got {value!r}")
-                if len(value) < 2:
-                    raise ConfigError(f"'parts' needs at least 2 entries, got {value!r}")
-                params[key] = [_coerce_expr(p) for p in value]
-            else:
-                params[key] = _coerce_expr(value)
-        sigma_raw = raw["sigma_grid"]
-        if not sigma_raw:
-            raise ConfigError("sigma_grid must be non-empty")
-        certificate_kinds = raw.get("certificates", ())
-        if not isinstance(raw.get("output_dir", ""), str):
-            raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
-        timeout_seconds = raw.get("timeout_seconds", 5.0)
-        _check_run_args(timeout_seconds, certificate_kinds, workers, ConfigError)
+        """Validate `raw` against config.schema.json and the grid rules up
+        front, so no sweep fails on its config after it has started."""
+        _validate(raw, _schema(), "config")
+        params = {
+            key: [parse_scaling(str(p)) for p in value] if key == "parts"
+            else parse_scaling(str(value))
+            for key, value in raw.get("family_params", {}).items()
+        }
         config = cls(
-            family=GraphFamily(family_name, params),
-            n_grid=n_grid,
-            k_expr=_coerce_expr(raw.get("k", 2)),
-            sigma_exprs=tuple(_coerce_expr(x) for x in sigma_raw),
-            trials=trials,
-            base_seed=base_seed,
-            timeout_seconds=timeout_seconds,
-            certificate_kinds=tuple(certificate_kinds),
-            workers=workers,
+            family=GraphFamily(raw["family"], params),
+            n_grid=tuple(int(n) for n in raw["n_grid"]),
+            k_expr=parse_scaling(str(raw.get("k", 2))),
+            sigma_exprs=tuple(parse_scaling(str(x)) for x in raw["sigma_grid"]),
+            trials=int(raw["trials"]),
+            base_seed=int(raw.get("base_seed", 0)),
+            timeout_seconds=raw.get("timeout_seconds", 5.0),
+            certificate_kinds=tuple(raw.get("certificates", ())),
+            workers=int(raw.get("workers", 1)),
             output_dir=raw.get("output_dir"),
         )
         config.grid()  # validates every cell
@@ -501,14 +465,9 @@ class ExperimentConfig:
             k = self.k_expr.evaluate_int(n)
             if k < 1:
                 raise ConfigError(f"k({n}) = {k} is not positive")
-            sigmas = []
-            for expr in self.sigma_exprs:
-                sigma = expr.evaluate_int(n)
-                if sigma < 1:
-                    raise ConfigError(f"sigma({n}) = {sigma} is not positive")
-                if k > sigma:
-                    raise ConfigError(f"k({n}) = {k} exceeds sigma({n}) = {sigma}")
-                sigmas.append(sigma)
+            sigmas = [expr.evaluate_int(n) for expr in self.sigma_exprs]
+            if k > min(sigmas, default=k):  # so every sigma, too, is positive
+                raise ConfigError(f"k({n}) = {k} exceeds sigma({n}) = {min(sigmas)}")
             if len(set(sigmas)) != len(sigmas):
                 raise ConfigError(f"sigma grid at n={n} contains duplicate values {sigmas}")
             cells.extend((n, k, sigma) for sigma in sigmas)

@@ -2,10 +2,12 @@
 
 Grammar: number | n | log(expr) | expr (+,-,*,/,^) expr | (expr), with the
 usual precedence, left-associative +,-,*,/ and right-associative ^; log is
-the natural logarithm.  An optional 'floor:'/'ceil:'/'round:' prefix declares
-how evaluations are rounded to integers (default: round, Python semantics).
+the natural logarithm; a number may carry an exponent (1e3).  An optional
+'floor:'/'ceil:'/'round:' prefix declares how evaluations are rounded to
+integers (default: round, Python semantics).  Evaluation is in floats, and a
+value that is not a finite real number is refused.
 
-Errors carry the byte offset into the source text.
+Errors are ConfigErrors and carry the byte offset into the source text.
 """
 
 from __future__ import annotations
@@ -14,16 +16,16 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ListColorError
+from .errors import ConfigError
 
 
-class ScalingParseError(ListColorError):
+class ScalingParseError(ConfigError):
     def __init__(self, offset: int, message: str):
         super().__init__(f"offset {offset}: {message}")
         self.offset = offset
 
 
-class ScalingEvalError(ListColorError):
+class ScalingEvalError(ConfigError):
     def __init__(self, offset: int, message: str):
         super().__init__(f"offset {offset}: {message}")
         self.offset = offset
@@ -32,7 +34,7 @@ class ScalingEvalError(ListColorError):
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d+)?)
+  | (?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
   | (?P<name>[A-Za-z_]+)
   | (?P<op>[-+*/^()])
     """,
@@ -145,14 +147,16 @@ def _eval_node(node, n: float) -> float:
         return a - b
     if op == "*":
         return a * b
-    if op == "/":
-        if b == 0:
-            raise ScalingEvalError(offset, "division by zero")
-        return a / b
-    try:
-        return a**b
-    except (OverflowError, ValueError) as exc:
-        raise ScalingEvalError(offset, f"power failed: {exc}") from None
+    try:  # / and ^, the operators that can fail
+        value = a / b if op == "/" else a**b
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise ScalingEvalError(offset, f"{op} failed: {exc}") from None
+    if isinstance(value, complex):  # a negative base to a fractional power
+        raise ScalingEvalError(offset, f"{a}^{b} is not real")
+    return value
+
+
+_ROUNDINGS = {"floor": math.floor, "ceil": math.ceil, "round": round}
 
 
 @dataclass(frozen=True)
@@ -164,30 +168,28 @@ class ScalingExpr:
     rounding: str = "round"
 
     def evaluate(self, n: float) -> float:
-        return _eval_node(self.ast, n)
+        try:
+            value = _eval_node(self.ast, float(n))
+        except (OverflowError, RecursionError) as exc:  # n past 1e308, or a deep tree
+            raise ScalingEvalError(0, f"evaluation failed: {exc}") from None
+        if not math.isfinite(value):
+            raise ScalingEvalError(0, f"value {value} is not finite")
+        return value
 
     def evaluate_int(self, n: float) -> int:
-        value = self.evaluate(n)
-        if self.rounding == "floor":
-            return math.floor(value)
-        if self.rounding == "ceil":
-            return math.ceil(value)
-        return round(value)
+        return _ROUNDINGS[self.rounding](self.evaluate(n))
 
 
 def parse_scaling(text: str) -> ScalingExpr:
     """Parse an expression, honoring an optional rounding-mode prefix like
     'floor: n^(1/4) * 3'."""
-    rounding = "round"
-    body = text
-    offset = 0
-    m = re.match(r"\s*(floor|ceil|round)\s*:", text)
-    if m:
-        rounding = m.group(1)
-        offset = m.end()
-        body = text[m.end():]
-    parser = _Parser(_tokenize(body, offset))
-    ast = parser.parse_expression()
+    m = re.match(rf"\s*({'|'.join(_ROUNDINGS)})\s*:", text)
+    rounding, offset = (m.group(1), m.end()) if m else ("round", 0)
+    parser = _Parser(_tokenize(text[offset:], offset))
+    try:
+        ast = parser.parse_expression()
+    except RecursionError:
+        raise ScalingParseError(offset, "expression nested too deeply") from None
     kind, tok_text, tok_offset = parser.peek()
     if kind != "end":
         raise ScalingParseError(tok_offset, f"unexpected trailing input {tok_text!r}")

@@ -1,6 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +337,32 @@ class TestSweepCommand:
         bad.write_text(json.dumps({"family": "clique_union"}))
         code, _, _ = run(capsys, "sweep", "--config", bad)
         assert code == 1
+
+
+    @pytest.mark.parametrize("k", [
+        "n^n^n",  # once built the integer 10^(10^10)
+        10**309,  # a 310-digit number: its float is inf
+        "0^(0-1)",
+        "(n-20)^0.5",  # not real at n = 10
+        "(" * 5000 + "2" + ")" * 5000,
+    ])
+    def test_refused_scaling_exits_one_at_once(self, tmp_path, k):
+        """Through the `listcolor` entry point in a fresh interpreter: exit 1
+        with one error line, no traceback, within 2 s."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"family": "petersen", "n_grid": [10], "k": k, "sigma_grid": [3], "trials": 1}
+        ))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "listcolor.cli", "sweep", "--config", str(cfg_path)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=10, check=False,
+        )
+        assert time.perf_counter() - start < 2
+        assert done.returncode == 1 and done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "sweep-out").exists()
 
 
 class TestVerifyLemmasCommand:

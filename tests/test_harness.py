@@ -4,9 +4,15 @@ import math
 import multiprocessing
 import multiprocessing.pool
 import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listcolor import certificates as certs
 from listcolor import graphs, harness
@@ -420,17 +426,117 @@ class TestSweep:
         assert built == complete_multipartite([4, 4])
 
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "config.schema.json").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_FILE = Path(harness.__file__).with_name("config.schema.json")
+SCHEMA = json.loads(SCHEMA_FILE.read_text(encoding="utf-8"))
+
+# The keywords harness._validate reads, and the annotations it may skip.
+VALIDATED_KEYWORDS = {
+    "$ref", "type", "enum", "minimum", "minItems", "items", "required", "properties",
+    "additionalProperties",
+}
+ANNOTATION_KEYWORDS = {"$schema", "$defs", "title", "description", "default"}
+
+
+def schema_nodes(schema):
+    """Every subschema of `schema`, itself first."""
+    yield schema
+    children = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]
+    if "items" in schema:
+        children.append(schema["items"])
+    for child in children:
+        yield from schema_nodes(child)
+
+
+SCHEMA_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+# JSON values, without NaN or Infinity, which JSON does not have
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
 )
+def integers(low, high=None):
+    """Integers in [low, high], some as floats with no fractional part."""
+    ints = st.integers(low, high)
+    return ints | ints.filter(lambda i: abs(i) < 2**53).map(float)
+
+
+# scaling expressions, valid half the time
+SCALING = st.one_of(
+    integers(1, 40) | st.sampled_from(["n", "n/2", "floor: n^(1/4) * 3", "ceil: log(n)", "2.5E-2*n"]),
+    st.sampled_from(["1e3", "n^n^n", "(n-20)^0.5", "0^(0-1)", "1" + "0" * 309, "log(n-10)", "2*"])
+    | st.integers() | st.floats(-1, 1e20) | st.text(max_size=5),
+)
+# configs that meet the schema; their scaling expressions need not be valid
+SCHEMA_SHAPED_CONFIGS = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(list(FAMILIES)),
+        "n_grid": st.lists(integers(1, 40) | st.integers(min_value=1), min_size=1, max_size=3),
+        "sigma_grid": st.lists(SCALING, min_size=1, max_size=3),
+        "trials": integers(1, 40),
+    },
+    optional={
+        "family_params": st.fixed_dictionaries({}, optional={
+            "delta": SCALING, "r": SCALING, "parts": st.lists(SCALING, min_size=2, max_size=3),
+        }),
+        "k": SCALING,
+        "base_seed": integers(None),
+        "timeout_seconds": st.none() | st.floats(0, 10) | integers(0, 10),
+        "certificates": st.lists(st.sampled_from(list(CERTIFICATE_KINDS)), max_size=3),
+        "workers": integers(1, 4),
+        "output_dir": st.text(max_size=5),
+    },
+)
+_DELETE = object()
+
+
+@st.composite
+def mutated_configs(draw):
+    """A schema-shaped config with one or two top-level keys set to any JSON
+    value or deleted, one of them perhaps a key the schema does not list."""
+    raw = draw(SCHEMA_SHAPED_CONFIGS)
+    keys = st.sampled_from([*SCHEMA["properties"], "colour_grid"])
+    changes = st.tuples(keys, st.just(_DELETE) | JSON_VALUES)
+    for key, value in draw(st.lists(changes, min_size=1, max_size=2)):
+        if value is _DELETE:
+            raw.pop(key, None)
+        else:
+            raw[key] = value
+    return raw
 
 
 class TestConfigSchema:
-    """docs/config.schema.json states what ExperimentConfig.from_dict accepts."""
+    """The package's config.schema.json states what ExperimentConfig.from_dict
+    accepts, apart from the grid rules."""
 
-    def test_top_level_keys_match(self):
-        assert set(SCHEMA["properties"]) == set(harness._CONFIG_KEYS)
-        assert set(SCHEMA["required"]) == set(harness._REQUIRED_KEYS)
+    def test_loader_reads_the_one_schema(self):
+        assert harness._schema() == SCHEMA
+        copies = [p for p in ROOT.rglob("*.schema.json") if ".git" not in p.parts]
+        assert copies == [SCHEMA_FILE]
+
+    def test_schema_uses_only_the_validated_keywords(self):
+        for node in schema_nodes(SCHEMA):
+            assert set(node) <= VALIDATED_KEYWORDS | ANNOTATION_KEYWORDS, node
+        refs = [node["$ref"] for node in schema_nodes(SCHEMA) if "$ref" in node]
+        assert refs and all(ref.startswith("#/$defs/") for ref in refs)
+
+    def test_loading_a_config_imports_no_jsonschema(self):
+        script = (
+            "import sys\n"
+            "from listcolor.harness import ExperimentConfig\n"
+            "ExperimentConfig.from_dict("
+            "{'family': 'petersen', 'n_grid': [10], 'sigma_grid': [3], 'trials': 1})\n"
+            "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
 
     def test_family_names_and_params_match(self):
         assert SCHEMA["properties"]["family"]["enum"] == list(FAMILIES)
@@ -545,6 +651,25 @@ class TestConfigSchema:
         del raw[key]
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
+
+    @given(st.one_of(SCHEMA_SHAPED_CONFIGS, mutated_configs(), JSON_VALUES))
+    @settings(max_examples=500, deadline=None)
+    def test_schema_rules_are_jsonschema_rules(self, raw):
+        """from_dict returns or raises ConfigError, within 2 s, and its schema
+        check accepts exactly what jsonschema accepts; what it refuses past
+        that check falls to the scaling-expression and grid rules."""
+        start = time.perf_counter()
+        try:
+            ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            pass
+        assert time.perf_counter() - start < 2
+        try:
+            harness._validate(raw, harness._schema(), "config")
+            meets_schema = True
+        except ConfigError:
+            meets_schema = False
+        assert meets_schema == SCHEMA_VALIDATOR.is_valid(raw)
 
 
 class TestCrossing:

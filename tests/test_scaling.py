@@ -1,7 +1,9 @@
 import math
+import time
 
 import pytest
 
+from listcolor.errors import ConfigError
 from listcolor.scaling import (
     ScalingEvalError,
     ScalingParseError,
@@ -45,6 +47,20 @@ class TestEvaluation:
     def test_composite_regime_expression(self):
         expr = parse_scaling("n^(1/4) * 9^(1/2)")
         assert expr.evaluate(10000) == pytest.approx(30.0)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e3", 1000.0),
+        ("1E3", 1000.0),
+        (str(1e16), 1e16),  # "1e+16", as a JSON number reaches a config
+        ("2.5e-2*n", 2.5),
+        ("n^1.5e0", 1000.0),
+    ])
+    def test_exponent_notation(self, text, value):
+        assert parse_scaling(text).evaluate(100) == pytest.approx(value)
+
+    def test_evaluated_in_floats(self):
+        assert type(parse_scaling("n").evaluate(7)) is float
+        assert parse_scaling("n^2").evaluate_int(3) == 9
 
 
 class TestRounding:
@@ -94,3 +110,33 @@ class TestErrors:
         with pytest.raises(ScalingEvalError) as err:
             parse_scaling("1/(2-2)").evaluate(0)
         assert err.value.offset == 1
+
+
+class TestEveryEvaluationTerminates:
+    """Each of these once hung, or ended in a traceback that is no
+    ConfigError; each now raises ScalingEvalError at once."""
+
+    @pytest.mark.parametrize("text, n, message", [
+        ("n^n^n", 10, "out of range"),  # an int n built the integer 10^(10^10)
+        ("1" + "0" * 309, 10, "not finite"),  # round(inf) raised OverflowError
+        ("10^308*10", 1, "not finite"),
+        ("0^(0-1)", 1, "negative power"),  # ZeroDivisionError
+        ("(n-20)^0.5", 10, "not real"),  # a complex number reached round()
+        ("n", 10**400, "too large"),  # float(n) raised OverflowError
+        ("+".join(["1"] * 5000), 1, "recursion depth"),  # RecursionError
+    ])
+    def test_refused(self, text, n, message):
+        expr = parse_scaling(text)
+        start = time.perf_counter()
+        with pytest.raises(ScalingEvalError, match=message):
+            expr.evaluate_int(n)
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("text", ["(" * 5000 + "n" + ")" * 5000, "2^" * 5000 + "2"])
+    def test_deep_nesting_refused_at_parse(self, text):
+        with pytest.raises(ScalingParseError, match="nested too deeply"):
+            parse_scaling(text)
+
+    def test_scaling_errors_are_config_errors(self):
+        assert issubclass(ScalingParseError, ConfigError)
+        assert issubclass(ScalingEvalError, ConfigError)
