@@ -552,6 +552,24 @@ def tree_bad_expectation_bound(n: int, delta: int, k: int, sigma: int, g: int) -
     )
 
 
+# name -> formula; the CLI reads a formula's flags from its signature
+FORMULAS = {
+    "eq:probcliques": expected_identical_cliques_bound,
+    "eq:expect": expected_identical_cliques_exact,
+    "eq:pathsum": alternating_path_expectation,
+    "lem:bad": bad_triple_probability_bound,
+    "lem:numbersubgraphs": proper_triple_count_bound,
+    "sum:triples": bad_triple_expectation_sum,
+    "eq:chebyshev": chebyshev_lower_bound,
+    "pi:cliques": pi_bound_clique_union,
+    "lem:2bad": pair_probability_bound,
+    "lem:2numbersubgraphs": pair_count_bound,
+    "sum:pairs": pair_expectation_sum,
+    "tree:expect": tree_bad_expectation_bound,
+    "eq:Qk": proper_tree_size,
+}
+
+
 # ---------------------------------------------------------------------------
 # threshold regimes
 #

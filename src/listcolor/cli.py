@@ -2,14 +2,15 @@
 verify-lemmas.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.  All randomness flows
-from --seed; the LISTCOLOR_SEED environment variable overrides the default
-seed when the flag is absent.
+from --seed; for sample and verify-lemmas the LISTCOLOR_SEED environment
+variable supplies the seed when the flag is absent.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -26,9 +27,13 @@ class UsageError(Exception):
     pass
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("LISTCOLOR_SEED")
-    return int(raw) if raw else 0
+def _seed(args) -> int:
+    """--seed, else LISTCOLOR_SEED, else 0."""
+    raw = (os.environ.get("LISTCOLOR_SEED") or 0) if args.seed is None else args.seed
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"LISTCOLOR_SEED must be an integer, got {raw!r}") from None
 
 
 def _write_out(text: str, out: str | None):
@@ -57,7 +62,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sample(args) -> int:
     g = _load_graph(args.graph)
-    assignment = sample_assignment(g, args.k, args.sigma, SeedSpec(args.seed, args.trial))
+    assignment = sample_assignment(g, args.k, args.sigma, SeedSpec(_seed(args), args.trial))
     _write_out(write_lists(assignment), args.out)
     return 0
 
@@ -97,50 +102,21 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-_BOUND_SPECS = {
-    # name -> (callable, required flags, optional flags)
-    "eq:probcliques": (bounds.expected_identical_cliques_bound, ("n", "delta", "k", "sigma"), ()),
-    "eq:expect": (bounds.expected_identical_cliques_exact, ("n", "delta", "k", "sigma"), ()),
-    "eq:pathsum": (
-        bounds.alternating_path_expectation,
-        ("n", "delta", "k", "sigma", "r_min", "r_max"),
-        (),
-    ),
-    "lem:bad": (bounds.bad_triple_probability_bound, ("m", "delta", "k", "sigma"), ()),
-    "lem:numbersubgraphs": (bounds.proper_triple_count_bound, ("n", "delta", "m"), ()),
-    "sum:triples": (
-        bounds.bad_triple_expectation_sum,
-        ("n", "delta", "k", "sigma"),
-        ("m_lo", "m_hi"),
-    ),
-    "eq:chebyshev": (bounds.chebyshev_lower_bound, ("e", "pi"), ()),
-    "pi:cliques": (bounds.pi_bound_clique_union, ("n", "delta", "k", "sigma"), ()),
-    "lem:2bad": (bounds.pair_probability_bound, ("l", "r", "sigma"), ()),
-    "lem:2numbersubgraphs": (bounds.pair_count_bound, ("n", "delta", "l", "r"), ()),
-    "sum:pairs": (bounds.pair_expectation_sum, ("n", "delta", "sigma", "l_max"), ("l_min",)),
-    "tree:expect": (bounds.tree_bad_expectation_bound, ("n", "delta", "k", "sigma", "g"), ()),
-    "eq:Qk": (certs.proper_tree_size, ("k", "g"), ()),
-}
-
-_BOUND_ARG_NAMES = {
-    "e": "expectation",
-    "pi": "covariance_sum",
-}
+_FLAGS = {"expectation": "e", "covariance_sum": "pi"}  # parameter -> flag, where they differ
 
 
 def _cmd_bound(args) -> int:
     name = args.bound
-    if name in _BOUND_SPECS:
-        fn, required, optional = _BOUND_SPECS[name]
+    if name in bounds.FORMULAS:
+        fn = bounds.FORMULAS[name]
         kwargs = {}
-        for flag in required:
+        for param in inspect.signature(fn).parameters.values():
+            flag = _FLAGS.get(param.name, param.name)
             value = getattr(args, flag)
-            _require(value is not None, f"--bound={name} needs --{flag.replace('_', '-')}")
-            kwargs[_BOUND_ARG_NAMES.get(flag, flag)] = value
-        for flag in optional:
-            value = getattr(args, flag)
+            _require(value is not None or param.default is not param.empty,
+                     f"--bound={name} needs --{flag.replace('_', '-')}")
             if value is not None:
-                kwargs[_BOUND_ARG_NAMES.get(flag, flag)] = value
+                kwargs[param.name] = value
         result = fn(**kwargs)
         if isinstance(result, bounds.BoundReport):
             print(json.dumps(result.to_json(), sort_keys=True))
@@ -166,7 +142,7 @@ def _cmd_bound(args) -> int:
         return 0
     raise UsageError(
         f"unknown bound {name!r}; known: "
-        + ", ".join(sorted([*_BOUND_SPECS, "regimes", *bounds.REGIME_NAMES]))
+        + ", ".join(sorted([*bounds.FORMULAS, "regimes", *bounds.REGIME_NAMES]))
     )
 
 
@@ -187,11 +163,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_lemmas(args) -> int:
     _require(args.per_graph >= 1, "--per-graph must be at least 1")
     _require(1 <= args.max_vertices <= 7, "--max-vertices must lie in 1..7, the atlas corpus")
-    spec = CorpusSpec(
-        max_vertices=args.max_vertices,
-        assignments_per_graph=args.per_graph,
-        base_seed=args.seed,
-    )
+    spec = CorpusSpec(max_vertices=args.max_vertices, assignments_per_graph=args.per_graph,
+                      base_seed=_seed(args))
     report = verify_lemmas(spec)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0
@@ -224,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--trial", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sample)
@@ -248,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bound",
         required=True,
-        help=f"quantity name: a formula ({', '.join(_BOUND_SPECS)}), a threshold "
+        help=f"quantity name: a formula ({', '.join(bounds.FORMULAS)}), a threshold "
         f"regime ({', '.join(bounds.REGIME_NAMES)}), or 'regimes' for every "
         "applicable regime",
     )
@@ -283,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-lemmas", help="run the certificate oracle suites")
     p.add_argument("--max-vertices", type=int, default=6)
     p.add_argument("--per-graph", type=int, default=500)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_verify_lemmas)
 
     return parser
@@ -301,10 +274,7 @@ def cli_main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ListColorError, json.JSONDecodeError, ValueError) as exc:
+    except (FileNotFoundError, ListColorError, ValueError) as exc:  # incl. JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

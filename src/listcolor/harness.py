@@ -29,7 +29,9 @@ so records.csv keeps its stream.  A trial that raises an unexpected
 exception is recorded with status "error" instead of ending the sweep.
 
 Graph families and certificate kinds come from one registry each,
-graphs.FAMILIES and certificates.CERTIFICATE_KINDS.  Trials and the lemma
+graphs.FAMILIES and certificates.CERTIFICATE_KINDS, and the argument rules
+from one schema, config.schema.json, against which both
+ExperimentConfig.from_dict and run_point check.  Trials and the lemma
 suites solve each instance once and hand the result to `certify`; a trial
 records the label it finds, unchecked, and the suites check each one.
 """
@@ -122,6 +124,25 @@ def _validate(value, schema: dict, where: str) -> None:
                 _validate(item, properties[key], repr(key))
 
 
+def _parse(value, where: str) -> ScalingExpr:
+    """A config's scaling value, parsed; a refusal names `where`."""
+    try:
+        return parse_scaling(str(value))
+    except (ConfigError, ValueError) as exc:  # str() refuses an int of over 4,300 digits
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _evaluate(value: ScalingExpr | int, n: int, where: str) -> int:
+    """`value` at n as an integer; a refusal names `where` and n."""
+    if not isinstance(value, ScalingExpr):
+        return int(value)
+    try:
+        return value.evaluate_int(n)
+    except ConfigError as exc:
+        at = f"n={n}" if n < 1e308 else "an n past 1e308"  # str() may refuse a larger int
+        raise ConfigError(f"{where} at {at}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # graph families
 
@@ -142,15 +163,14 @@ class GraphFamily:
 
     def _args(self, n: int) -> list:
         """The generator's arguments at n, scaling expressions evaluated."""
-        def as_int(raw):
-            return raw.evaluate_int(n) if isinstance(raw, ScalingExpr) else int(raw)
-
         args = []
         for key in FAMILIES[self.name].arg_names:
             raw = n if key == "n" else self.params.get(key)
             if raw is None or raw == []:
                 raise ConfigError(f"family {self.name!r} needs parameter {key!r}")
-            args.append([as_int(p) for p in raw] if key == "parts" else as_int(raw))
+            where = f"family_params.{key}"
+            args.append([_evaluate(p, n, f"{where} item {i}") for i, p in enumerate(raw)]
+                        if key == "parts" else _evaluate(raw, n, where))
         return args
 
 
@@ -228,24 +248,6 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def _check_run_args(timeout_seconds, certificate_kinds, workers) -> None:
-    """run_point's checks of its timeout, certificate kinds and workers."""
-    if timeout_seconds is not None and not (
-        _has_type(timeout_seconds, "number") and timeout_seconds >= 0
-    ):
-        raise InvalidParameterError(
-            f"timeout_seconds must be a non-negative number or null, got {timeout_seconds!r}"
-        )
-    unknown = [kind for kind in certificate_kinds
-               if not isinstance(kind, str) or kind not in certs.CERTIFICATE_KINDS]
-    if unknown:
-        raise InvalidParameterError(
-            f"unknown certificate kinds {unknown}; known: {', '.join(certs.CERTIFICATE_KINDS)}"
-        )
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise InvalidParameterError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _run_trial(g: Graph, job: tuple) -> TrialRecord:
@@ -369,13 +371,20 @@ def run_point(
     Timed-out trials and trials that raised (status "error") are recorded,
     counted separately, and excluded from p_hat (never silently dropped).
     The aggregate is a deterministic fold over trial indices, independent of
-    worker scheduling.
+    worker scheduling.  The argument rules are those of the config schema's
+    keys (`workers=2.0` reads as 2), plus 1 <= k <= sigma; a refusal raises
+    InvalidParameterError before any trial.
     """
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
-    if k > sigma:
-        raise InvalidParameterError(f"k={k} exceeds sigma={sigma}")
-    _check_run_args(timeout_seconds, certificate_kinds, workers)
+    kinds = list(certificate_kinds) if isinstance(certificate_kinds, tuple) else certificate_kinds
+    as_config = {"trials": trials, "timeout_seconds": timeout_seconds, "certificates": kinds,
+                 "workers": workers}
+    try:  # each argument by the rule of its config key
+        _validate(as_config, {"properties": _schema()["properties"]}, "run_point")
+    except ConfigError as exc:
+        raise InvalidParameterError(str(exc)) from None
+    trials, workers = int(trials), int(workers)
+    if not 1 <= k <= sigma:
+        raise InvalidParameterError(f"need 1 <= k <= sigma, got k={k}, sigma={sigma}")
     g = family if isinstance(family, Graph) else family.build(n)
     jobs = _point_jobs(n, k, sigma, trials, base_seed, timeout_seconds, certificate_kinds)
     if _records is None:
@@ -427,15 +436,16 @@ class ExperimentConfig:
         front, so no sweep fails on its config after it has started."""
         _validate(raw, _schema(), "config")
         params = {
-            key: [parse_scaling(str(p)) for p in value] if key == "parts"
-            else parse_scaling(str(value))
+            key: [_parse(p, f"family_params.parts item {i}") for i, p in enumerate(value)]
+            if key == "parts" else _parse(value, f"family_params.{key}")
             for key, value in raw.get("family_params", {}).items()
         }
         config = cls(
             family=GraphFamily(raw["family"], params),
             n_grid=tuple(int(n) for n in raw["n_grid"]),
-            k_expr=parse_scaling(str(raw.get("k", 2))),
-            sigma_exprs=tuple(parse_scaling(str(x)) for x in raw["sigma_grid"]),
+            k_expr=_parse(raw.get("k", 2), "k"),
+            sigma_exprs=tuple(_parse(x, f"sigma_grid item {i}")
+                              for i, x in enumerate(raw["sigma_grid"])),
             trials=int(raw["trials"]),
             base_seed=int(raw.get("base_seed", 0)),
             timeout_seconds=raw.get("timeout_seconds", 5.0),
@@ -462,10 +472,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"family {self.family.name!r} cannot be built at n_grid entry {n}: {exc}"
                 ) from None
-            k = self.k_expr.evaluate_int(n)
+            k = _evaluate(self.k_expr, n, "k")
             if k < 1:
                 raise ConfigError(f"k({n}) = {k} is not positive")
-            sigmas = [expr.evaluate_int(n) for expr in self.sigma_exprs]
+            sigmas = [_evaluate(expr, n, f"sigma_grid item {i}")
+                      for i, expr in enumerate(self.sigma_exprs)]
             if k > min(sigmas, default=k):  # so every sigma, too, is positive
                 raise ConfigError(f"k({n}) = {k} exceeds sigma({n}) = {min(sigmas)}")
             if len(set(sigmas)) != len(sigmas):

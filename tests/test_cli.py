@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from listcolor.bounds import REGIME_NAMES
-from listcolor.cli import _BOUND_SPECS, cli_main
+from listcolor.bounds import FORMULAS, REGIME_NAMES
+from listcolor.cli import cli_main
 from listcolor.graphs import complete_multipartite, power_cycle, read_graph, write_graph
 from listcolor.lists import read_lists
 
@@ -94,12 +94,34 @@ class TestSampleAndSolve:
 
     def test_env_seed_override(self, c5_file, capsys, monkeypatch):
         monkeypatch.setenv("LISTCOLOR_SEED", "12345")
-        # parser defaults are built at parse time through _default_seed
         _, with_env, _ = run(capsys, "sample", "--graph", c5_file, "--k", 2, "--sigma", 4)
         monkeypatch.delenv("LISTCOLOR_SEED")
         _, explicit, _ = run(capsys, "sample", "--graph", c5_file, "--k", 2, "--sigma", 4,
                              "--seed", 12345)
         assert with_env == explicit
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--graph", "GRAPH", "--k", 2, "--sigma", 4],
+        ["verify-lemmas", "--max-vertices", 3, "--per-graph", 2],
+    ])
+    def test_malformed_env_seed_is_a_usage_error(self, c5_file, capsys, monkeypatch, argv):
+        monkeypatch.setenv("LISTCOLOR_SEED", "abc")
+        code, out, err = run(capsys, *[c5_file if a == "GRAPH" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err == "usage error: LISTCOLOR_SEED must be an integer, got 'abc'\n"
+
+    def test_malformed_env_seed_is_read_only_for_a_default_seed(
+        self, c5_file, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("LISTCOLOR_SEED", "abc")
+        code, _, err = run(capsys, "bound", "--bound=eq:Qk", "--k=3", "--g=5")
+        assert (code, err) == (0, "")
+        code, with_flag, err = run(capsys, "sample", "--graph", c5_file, "--k", 2,
+                                   "--sigma", 4, "--seed", 7)
+        assert (code, err) == (0, "")
+        monkeypatch.delenv("LISTCOLOR_SEED")
+        assert run(capsys, "sample", "--graph", c5_file, "--k", 2, "--sigma", 4,
+                   "--seed", 7)[1] == with_flag
 
     def test_solve_uncolorable_exits_zero(self, c5_file, forced_lists_file, capsys):
         code, out, _ = run(capsys, "solve", "--graph", c5_file, "--lists", forced_lists_file)
@@ -293,11 +315,22 @@ class TestBound:
             text,
         ).groups()
         names = [*formulas.split(", "), *regimes.split(", "), everything]
-        assert set(names) == {*_BOUND_SPECS, *REGIME_NAMES, "regimes"}
+        assert set(names) == {*FORMULAS, *REGIME_NAMES, "regimes"}
         for name in names:
             # no numeric flags: each known name asks for its first missing one
             code, _, err = run(capsys, "bound", f"--bound={name}")
             assert code == 2 and f"--bound={name} needs --" in err, name
+
+    def test_every_formula_runs_from_its_flags(self, capsys):
+        """Each formula's parameters, optional ones too, are read from flags,
+        and the report it prints carries its registry name."""
+        flags = ["--n=1000", "--delta=3", "--k=2", "--sigma=40", "--m=5", "--l=3", "--r=3",
+                 "--g=5", "--r-min=1", "--r-max=6", "--m-lo=4", "--m-hi=9", "--l-min=3",
+                 "--l-max=6", "--e=4.0", "--pi=1.0"]
+        for name in FORMULAS:
+            code, out, err = run(capsys, "bound", f"--bound={name}", *flags)
+            assert (code, err) == (0, ""), name
+            assert json.loads(out)["name"] == name
 
 
 class TestSweepCommand:
@@ -360,7 +393,10 @@ class TestSweepCommand:
             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=10, check=False,
         )
         assert time.perf_counter() - start < 2
-        assert done.returncode == 1 and done.stderr.startswith("error: ")
+        assert done.returncode == 1 and len(done.stderr.splitlines()) == 1
+        # the refusal names its key, and the n unless the parser refused it
+        refused_at_parse = str(k).startswith("((")
+        assert done.stderr.startswith("error: k: " if refused_at_parse else "error: k at n=10: ")
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "sweep-out").exists()
 

@@ -173,6 +173,39 @@ class TestRunPoint:
         with pytest.raises(InvalidParameterError):
             run_point(GraphFamily("clique_union", {"delta": 2}), 9, 2, 3, 10, 5, **kwargs)
 
+    def test_k_below_one_rejected_before_any_trial(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_run_trial", no_trial)
+        with pytest.raises(InvalidParameterError, match="k=0"):
+            run_point(GraphFamily("clique_union", {"delta": 2}), 9, 0, 3, 4, 5)
+
+    @pytest.mark.parametrize("key, value", [
+        *[("trials", v) for v in (1, 2.0, 0, 2.5, True, "2", None, [2])],
+        *[("timeout_seconds", v)
+          for v in (0, 1.5, 30.0, math.inf, None, -1, -0.5, math.nan, "5", False, [1])],
+        *[("certificates", v)
+          for v in ([], ["triple", "tree"], ["tripel"], "triple", [["triple"]], [1], None)],
+        *[("workers", v) for v in (1, 2.0, 0, -1, 2.5, True, "2", None, math.nan)],
+    ])
+    def test_refuses_exactly_what_a_config_refuses(self, key, value):
+        """run_point's trials, timeout_seconds, certificate_kinds and workers
+        follow the rules of the config keys of the same names."""
+        try:
+            small_config(**{key: value})
+            config_refuses = False
+        except ConfigError:
+            config_refuses = True
+        param = "certificate_kinds" if key == "certificates" else key
+        try:
+            run_point(GraphFamily("clique_union", {"delta": 2}), 9, 2, 3,
+                      **{"trials": 2, "base_seed": 5, param: value})
+            point_refuses = False
+        except InvalidParameterError:
+            point_refuses = True
+        assert point_refuses == config_refuses
+
 
 def count_girth_computations(monkeypatch) -> list:
     """Wrap harness.girth and certificates.girth; the returned list gets one
@@ -654,6 +687,26 @@ class TestConfigSchema:
         del raw[key]
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("overrides, prefix", [
+        ({"k": "n^n^n"}, "k at n=12: offset 1: "),
+        ({"k": "n^"}, "k: offset 2: "),
+        ({"sigma_grid": ["3", "log(n-12)"]}, "sigma_grid item 1 at n=12: offset 0: "),
+        ({"family_params": {"delta": "n^n^n"}}, "family_params.delta at n=12: "),
+        ({"family": "complete_multipartite", "family_params": {"parts": ["6", "0^(0-1)"]}},
+         "family_params.parts item 1 at n=12: "),
+        ({"n_grid": [10**5000]}, "family_params.delta at an n past 1e308: "),
+    ])
+    def test_refused_scaling_names_its_key_and_n(self, overrides, prefix):
+        with pytest.raises(ConfigError) as refused:
+            small_config(**overrides)
+        assert str(refused.value).startswith(prefix)
+
+    def test_int_too_long_to_print_refused(self):
+        """str() refuses an int of over 4,300 digits; JSON cannot carry one,
+        a Python caller can."""
+        with pytest.raises(ConfigError, match="^sigma_grid item 1: "):
+            small_config(sigma_grid=[3, 10**5000])
 
     def test_nan_timeout_refused(self):
         """json.load reads NaN, and JSON Schema's "minimum" lets it through;
