@@ -105,10 +105,10 @@ def _pow_log(log_base: float, exponent: float) -> float:
 class LogValue:
     """A non-negative real stored as its natural log; -inf encodes zero.
 
-    Multiplication adds logs, addition goes through a stable log-sum-exp,
-    comparisons act on the log scale; `approx_eq` allows the documented
-    1e-12 relative slack.  Ordering stays exact across ratios far beyond
-    the 1e300 float range.
+    Addition goes through a stable log-sum-exp, so values far beyond the
+    1e300 float range add without overflow; `to_float` reads a value back,
+    inf past that range.  `approx_eq` compares logs with the documented
+    1e-12 relative slack.
     """
 
     __slots__ = ("log",)
@@ -123,16 +123,8 @@ class LogValue:
         return (LogValue, (self.log,))
 
     @classmethod
-    def of(cls, x: float) -> "LogValue":
-        return cls(_log_of(x))
-
-    @classmethod
     def zero(cls) -> "LogValue":
         return cls(_NEG_INF)
-
-    @classmethod
-    def one(cls) -> "LogValue":
-        return cls(0.0)
 
     @property
     def is_zero(self) -> bool:
@@ -146,32 +138,8 @@ class LogValue:
         except OverflowError:
             return math.inf
 
-    def __float__(self):
-        return self.to_float()
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.log + other.log)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero:
-            raise ZeroDivisionError("division by log-space zero")
-        if self.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log - other.log)
-
     def __add__(self, other: "LogValue") -> "LogValue":
         return LogValue(_log_add(self.log, other.log))
-
-    def __pow__(self, exponent: float) -> "LogValue":
-        if self.is_zero:
-            return LogValue.one() if exponent == 0 else LogValue.zero()
-        return LogValue(self.log * exponent)
-
-    def __lt__(self, other):
-        return self.log < other.log
-
-    def __le__(self, other):
-        return self.log <= other.log
 
     def __eq__(self, other):
         return isinstance(other, LogValue) and self.log == other.log
@@ -179,10 +147,10 @@ class LogValue:
     def __hash__(self):
         return hash(self.log)
 
-    def approx_eq(self, other: "LogValue", rel_tol: float = 1e-12) -> bool:
+    def approx_eq(self, other: "LogValue") -> bool:
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
-        return math.isclose(self.log, other.log, rel_tol=rel_tol, abs_tol=1e-12)
+        return math.isclose(self.log, other.log, rel_tol=1e-12, abs_tol=1e-12)
 
     def __repr__(self):
         return f"LogValue(exp({self.log:.6g}))"

@@ -283,16 +283,6 @@ class OrderedSeq:
     def closing_target(self) -> int:
         return self.vertices[self.closing_index]
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        """Path edges plus the closing edge, normalized."""
-        edges = set()
-        for i in range(len(self.vertices) - 1):
-            u, v = self.vertices[i], self.vertices[i + 1]
-            edges.add((min(u, v), max(u, v)))
-        u, v = self.vertices[-1], self.closing_target
-        edges.add((min(u, v), max(u, v)))
-        return frozenset(edges)
-
     def validate(self, g: Graph) -> None:
         for i in range(len(self.vertices) - 1):
             if not g.has_edge(self.vertices[i], self.vertices[i + 1]):
@@ -359,10 +349,6 @@ class ProperPair:
     @property
     def first_vertex(self) -> int:
         return self.h1.first_vertex
-
-    @property
-    def vertex_count(self) -> int:
-        return len(set(self.h1.vertices) | set(self.h2.vertices))
 
     def _json_fields(self) -> dict:
         sequences = [

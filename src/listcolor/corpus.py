@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import InvalidParameterError
 from .graphs import Graph
-from .lists import ListAssignment, SeedSpec, derive_seed, sample_assignment
+from .lists import SeedSpec, derive_seed, sample_assignment
 
 _ATLAS_FILE = Path(__file__).with_name("atlas7.txt")
 
@@ -54,6 +54,5 @@ def corpus_assignments(
         yield i, sample_assignment(g, k, sigma, seed)
 
 
-def default_combos(ks=(2, 3), sigma_cap: int = 4) -> tuple[tuple[int, int], ...]:
-    """(k, sigma) pairs with k <= sigma <= sigma_cap, ordered by k then sigma."""
-    return tuple((k, s) for k in ks for s in range(k, sigma_cap + 1))
+# the (k, sigma) pairs the corpus suites cycle through: every k <= sigma <= 4 at k = 2, 3
+DEFAULT_COMBOS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))

@@ -77,12 +77,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={sum(map(len, self.adjacency)) // 2})"
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 

@@ -5,10 +5,12 @@ Determinism contract: every trial's random stream is a pure function of
 (config base seed, n, k, sigma, trial index), aggregation is a fold in
 trial-index order, and records.csv is sorted by (n, sigma, trial_index) --
 so reruns and different worker counts produce byte-identical CSV as long as
-no wall-clock timeout fires.  Past a fixed node count the solver runs an
-exact frontier DP on the component once, so a timeout can fire only while
-it runs (about 8 bytes per state built) or after it gives up, at one step
-past 16,384 states, as on K_{200,200} at k = 3.  Per-trial wall times are kept
+no wall-clock timeout fires.  The solver reads the deadline at every search
+node and at every DP step, so a timeout can fire in the plain search too.
+Past the switch point (a fixed node count, after which an exact frontier DP
+runs on the component once) it can fire only while the DP runs (about 8
+bytes per state built) or after it gives up, at one step past 16,384
+states, as on K_{200,200} at k = 3.  Per-trial wall times are kept
 out of the CSV to keep it byte-identical (they live in summary.json as
 per-point means).
 
@@ -51,7 +53,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import certificates as certs
-from .corpus import corpus_assignments, default_combos, small_connected_graphs
+from .corpus import DEFAULT_COMBOS, corpus_assignments, small_connected_graphs
 from .errors import ConfigError, GuardExceededError, InvalidParameterError, SolveTimeout
 from .graphs import FAMILIES, Graph, connected_components, girth
 from .lists import SeedSpec, derive_seed, sample_assignment
@@ -73,7 +75,7 @@ CSV_COLUMNS = (
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 _SCHEMA_FILE = Path(__file__).with_name("config.schema.json")
-_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+_JSON_TYPES = {"object": dict, "array": (list, tuple), "string": str, "number": (int, float),
                "null": type(None)}
 
 
@@ -106,7 +108,7 @@ def _validate(value, schema: dict, where: str) -> None:
         raise ConfigError(f"{where} must be one of {schema['enum']}, got {value!r}")
     if "minimum" in schema and _has_type(value, "number") and not value >= schema["minimum"]:
         raise ConfigError(f"{where} must be >= {schema['minimum']}, got {value!r}")
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         if len(value) < schema.get("minItems", 0):
             raise ConfigError(f"{where} needs at least {schema['minItems']} entries, got {value}")
         for i, item in enumerate(value):
@@ -239,8 +241,9 @@ class PointResult:
         }
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Score interval for a binomial proportion; stable near 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% score interval for a binomial proportion; stable near 0 and 1."""
+    z = _WILSON_Z
     if trials == 0:
         raise InvalidParameterError("interval needs at least one trial")
     p = successes / trials
@@ -346,7 +349,7 @@ def _trial_records(g: Graph, jobs: list, workers: int) -> Iterator[TrialRecord]:
 
 
 def run_point(
-    family: GraphFamily | Graph,
+    g: Graph,
     n: int,
     k: int,
     sigma: int,
@@ -360,8 +363,8 @@ def run_point(
 ) -> PointResult:
     """Estimate the colorability probability at one (n, k, sigma) grid cell.
 
-    `family` is built at `n` unless it is already a Graph.  The trials run
-    through `_trial_records`: with workers > 1 in a fork Pool of at most one
+    `g` is the family's graph at `n`.  The trials run through
+    `_trial_records`: with workers > 1 in a fork Pool of at most one
     worker per trial, whose workers inherit the graph at fork; each job
     carries only (n, k, sigma, trial index, point seed, timeout, certificate
     kinds), so no graph is pickled.  `sweep` passes `_records`, the stream
@@ -375,9 +378,8 @@ def run_point(
     keys (`workers=2.0` reads as 2), plus 1 <= k <= sigma; a refusal raises
     InvalidParameterError before any trial.
     """
-    kinds = list(certificate_kinds) if isinstance(certificate_kinds, tuple) else certificate_kinds
-    as_config = {"trials": trials, "timeout_seconds": timeout_seconds, "certificates": kinds,
-                 "workers": workers}
+    as_config = {"trials": trials, "timeout_seconds": timeout_seconds,
+                 "certificates": certificate_kinds, "workers": workers}
     try:  # each argument by the rule of its config key
         _validate(as_config, {"properties": _schema()["properties"]}, "run_point")
     except ConfigError as exc:
@@ -385,7 +387,6 @@ def run_point(
     trials, workers = int(trials), int(workers)
     if not 1 <= k <= sigma:
         raise InvalidParameterError(f"need 1 <= k <= sigma, got k={k}, sigma={sigma}")
-    g = family if isinstance(family, Graph) else family.build(n)
     jobs = _point_jobs(n, k, sigma, trials, base_seed, timeout_seconds, certificate_kinds)
     if _records is None:
         records = list(_trial_records(g, jobs, workers))
@@ -593,7 +594,7 @@ class CorpusSpec:
 
     max_vertices: int = 6
     assignments_per_graph: int = 500
-    combos: tuple[tuple[int, int], ...] = field(default_factory=default_combos)
+    combos: tuple[tuple[int, int], ...] = DEFAULT_COMBOS
     base_seed: int = 0
 
 

@@ -7,8 +7,8 @@ under parallel execution.  The sampler replays, draw for draw from
 `getrandbits`, what `random.Random.sample(range(1, sigma + 1), k)` would draw,
 so its stream is the one that records.csv was pinned to.
 
-`ListAssignment(sigma, k, lists)` validates every list; the sampler and
-`restrict`, whose lists are valid by construction, build through the private
+`ListAssignment(sigma, k, lists)` validates every list; the sampler, whose
+lists are valid by construction, builds through the private
 `ListAssignment._trusted` instead.
 """
 
@@ -109,11 +109,6 @@ class ListAssignment:
 
     def __getitem__(self, v: int) -> tuple[int, ...]:
         return self.lists[v]
-
-    def restrict(self, vertices: Iterable[int]) -> "ListAssignment":
-        """Lists for a vertex subset, in sorted-vertex order (for subgraphs)."""
-        lists = tuple(self.lists[v] for v in sorted(vertices))
-        return ListAssignment._trusted(self.sigma, self.k, lists)
 
     @classmethod
     def _trusted(cls, sigma: int, k: int, lists: tuple[tuple[int, ...], ...]) -> "ListAssignment":

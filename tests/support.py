@@ -188,14 +188,16 @@ def is_L_alternating(
 def count_nonconsecutive(pair: ProperPair) -> int:
     """Common vertices (other than the shared first vertex) whose predecessor
     edge along the second member is absent from the first member."""
-    h1_edges = pair.h1.edge_set()
-    h1_vertices = set(pair.h1.vertices)
+    h1 = pair.h1.vertices
+    h1_edges = {frozenset(e) for e in zip(h1, h1[1:])}
+    h1_edges.add(frozenset((h1[-1], pair.h1.closing_target)))
+    h1_vertices = set(h1)
     r = 0
     for idx, w in enumerate(pair.h2.vertices):
         if idx == 0 or w not in h1_vertices:
             continue
         u = pair.h2.vertices[idx - 1]
-        if (min(u, w), max(u, w)) not in h1_edges:
+        if frozenset((u, w)) not in h1_edges:
             r += 1
     return r
 

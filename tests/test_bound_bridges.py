@@ -65,7 +65,7 @@ def test_pair_count_bound_exceeds_exhaustive_enumeration():
             for h1 in sequences:
                 for h2 in sequences:
                     pair = ProperPair(h1, h2)
-                    l = pair.vertex_count
+                    l = len(set(h1.vertices) | set(h2.vertices))
                     r = count_nonconsecutive(pair)
                     tally[(l, r)] += 1
         assert tally, g

@@ -25,7 +25,7 @@ from listcolor.certificates import (
     is_tree_bad,
     proper_tree_size,
 )
-from listcolor.corpus import corpus_assignments, default_combos, small_connected_graphs
+from listcolor.corpus import DEFAULT_COMBOS, corpus_assignments, small_connected_graphs
 from listcolor.errors import (
     CertificateError,
     GuardExceededError,
@@ -112,7 +112,7 @@ class TestAlternatingPaths:
 
                 rest = [v for v in range(g.n) if v != origin]
                 sub, _ = induced_subgraph(g, rest)
-                result = solve(sub, a.restrict(rest))
+                result = solve(sub, ListAssignment(a.sigma, a.k, [a[v] for v in rest]))
                 if not result.colorable:
                     continue
                 phi = {rest[v]: c for v, c in result.coloring.items()}
@@ -160,7 +160,7 @@ class TestInducedRank:
                 origin = (gi + ai) % g.n
                 rest = [v for v in range(g.n) if v != origin]
                 sub, _ = induced_subgraph(g, rest)
-                result = solve(sub, a.restrict(rest))
+                result = solve(sub, ListAssignment(a.sigma, a.k, [a[v] for v in rest]))
                 if not result.colorable:
                     continue
                 phi = {rest[v]: c for v, c in result.coloring.items()}
@@ -317,7 +317,7 @@ class TestTwoBadPairs:
         a = uniform_lists(3, (1, 2), sigma=3)
         pair = find_2bad_pair(g, a)
         assert pair is not None and is_2bad_pair(g, a, pair)[0]
-        assert pair.vertex_count == 3
+        assert set(pair.h1.vertices) | set(pair.h2.vertices) == {0, 1, 2}
 
     def test_wrong_list_size_rejected(self, c5):
         with pytest.raises(InvalidParameterError):
@@ -762,7 +762,7 @@ class TestLemmaImplicationsSmall:
 
 class TestCertificatesArePinned:
     # sha256 over the atlas corpus (996 graphs, 10 assignments each over
-    # default_combos() at base seed 5): for every uncolorable instance and
+    # DEFAULT_COMBOS at base seed 5): for every uncolorable instance and
     # every kind that can apply, one line "gi ai kind doc", where doc is the
     # JSON of the certificate `certify` finds with its checker's witness,
     # "none" when nothing is found, or the class of the listcolor error
@@ -772,7 +772,7 @@ class TestCertificatesArePinned:
     def test_certificates_digest_is_pinned(self):
         lines = []
         for gi, g in enumerate(small_connected_graphs(7)):
-            for ai, a in corpus_assignments(g, gi, 10, default_combos(), 5):
+            for ai, a in corpus_assignments(g, gi, 10, DEFAULT_COMBOS, 5):
                 solved = solve(g, a)
                 if solved.colorable:
                     continue

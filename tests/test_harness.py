@@ -59,7 +59,7 @@ def small_config(**overrides):
 
 class TestRunPoint:
     def test_forced_lists_make_triangles_uncolorable(self):
-        point = run_point(GraphFamily("clique_union", {"delta": 2}), 15, 2, 2, 300, 9)
+        point = run_point(clique_union(15, 2), 15, 2, 2, 300, 9)
         assert point.p_hat == 0.0
 
     def test_single_triangle_matches_exact_probability(self):
@@ -78,19 +78,17 @@ class TestRunPoint:
             assert colorable == (len(set(trio)) != 1)
 
         trials = 100_000
-        point = run_point(GraphFamily("clique_union", {"delta": 2}), 3, 2, 3, trials, 31337)
+        point = run_point(clique_union(3, 2), 3, 2, 3, trials, 31337)
         p = 8 / 9
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(point.p_hat - p) < 3 * se
 
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidParameterError):
-            run_point(GraphFamily("petersen", {}), 10, 2, 4, 0, 1)
+            run_point(petersen(), 10, 2, 4, 0, 1)
 
     def test_timeouts_reported_not_dropped(self):
-        point = run_point(
-            GraphFamily("clique_union", {"delta": 2}), 9, 2, 3, 20, 5, timeout_seconds=0.0
-        )
+        point = run_point(clique_union(9, 2), 9, 2, 3, 20, 5, timeout_seconds=0.0)
         assert point.timeouts == 20
         assert point.completed == 0
         assert point.p_hat is None
@@ -98,7 +96,7 @@ class TestRunPoint:
 
     def test_certificate_detectors_record_kind(self):
         point = run_point(
-            GraphFamily("clique_union", {"delta": 2}),
+            clique_union(9, 2),
             9, 2, 2, 10, 5,
             certificate_kinds=("triple",),
         )
@@ -141,7 +139,7 @@ class TestRunPoint:
             return real_solve(g, assignment, **kwargs)
 
         monkeypatch.setattr(harness, "solve", flaky_solve)
-        point = run_point(GraphFamily("clique_union", {"delta": 2}), 9, 2, 3, 10, 5)
+        point = run_point(clique_union(9, 2), 9, 2, 3, 10, 5)
         bad = point.records[2]
         assert (bad.status, bad.error, bad.colorable, bad.solve_nodes) == (
             "error", "RuntimeError", None, 0
@@ -171,7 +169,7 @@ class TestRunPoint:
     ])
     def test_bad_arguments_rejected_before_any_trial(self, kwargs):
         with pytest.raises(InvalidParameterError):
-            run_point(GraphFamily("clique_union", {"delta": 2}), 9, 2, 3, 10, 5, **kwargs)
+            run_point(clique_union(9, 2), 9, 2, 3, 10, 5, **kwargs)
 
     def test_k_below_one_rejected_before_any_trial(self, monkeypatch):
         def no_trial(*args):
@@ -179,7 +177,7 @@ class TestRunPoint:
 
         monkeypatch.setattr(harness, "_run_trial", no_trial)
         with pytest.raises(InvalidParameterError, match="k=0"):
-            run_point(GraphFamily("clique_union", {"delta": 2}), 9, 0, 3, 4, 5)
+            run_point(clique_union(9, 2), 9, 0, 3, 4, 5)
 
     @pytest.mark.parametrize("key, value", [
         *[("trials", v) for v in (1, 2.0, 0, 2.5, True, "2", None, [2])],
@@ -199,7 +197,7 @@ class TestRunPoint:
             config_refuses = True
         param = "certificate_kinds" if key == "certificates" else key
         try:
-            run_point(GraphFamily("clique_union", {"delta": 2}), 9, 2, 3,
+            run_point(clique_union(9, 2), 9, 2, 3,
                       **{"trials": 2, "base_seed": 5, param: value})
             point_refuses = False
         except InvalidParameterError:
@@ -717,6 +715,23 @@ class TestConfigSchema:
         )
         with pytest.raises(ConfigError, match="timeout_seconds"):
             small_config(timeout_seconds=math.nan)
+
+    def test_tuples_read_as_arrays(self):
+        """A Python caller may pass a tuple wherever the schema asks for an
+        array: the config equals the one built from lists."""
+        raw = {"family": "complete_multipartite", "family_params": {"parts": ["2", "n - 2"]},
+               "n_grid": [6, 8], "sigma_grid": [3, "n"], "certificates": ["triple"],
+               "trials": 2}
+        as_tuples = {**raw, "family_params": {"parts": ("2", "n - 2")}, "n_grid": (6, 8),
+                     "sigma_grid": (3, "n"), "certificates": ("triple",)}
+        lists, tuples = ExperimentConfig.from_dict(raw), ExperimentConfig.from_dict(as_tuples)
+        assert tuples == lists
+        assert tuples.grid() == lists.grid() == [(6, 2, 3), (6, 2, 6), (8, 2, 3), (8, 2, 8)]
+        for key, short in [("n_grid", ()), ("sigma_grid", ()), ("certificates", (1,))]:
+            with pytest.raises(ConfigError, match=f"^'{key}'"):
+                ExperimentConfig.from_dict({**as_tuples, key: short})
+        with pytest.raises(ConfigError, match="^'parts' needs at least 2"):
+            ExperimentConfig.from_dict({**as_tuples, "family_params": {"parts": ("2",)}})
 
     @given(st.one_of(SCHEMA_SHAPED_CONFIGS, mutated_configs(), JSON_VALUES))
     @settings(max_examples=500, deadline=None)

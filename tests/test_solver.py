@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from listcolor import solver
 from listcolor.certificates import find_bad_triple, is_bad_triple
 from listcolor.certificates import CERTIFICATE_KINDS, certify
-from listcolor.corpus import corpus_assignments, default_combos, small_connected_graphs
+from listcolor.corpus import DEFAULT_COMBOS, corpus_assignments, small_connected_graphs
 from listcolor.errors import CertificateError, GuardExceededError, SolveTimeout
 from listcolor.graphs import (
     Graph,
@@ -245,12 +245,12 @@ class TestSearchIsPinned:
             assert [r.component for r in results] == self.COMPONENTS[name]
 
     # 200 corpus instances: every 5th connected graph on at most 7 vertices,
-    # (k, sigma) cycling through default_combos(), lists at base seed 15.
+    # (k, sigma) cycling through DEFAULT_COMBOS, lists at base seed 15.
     # A line is "gi k sigma stats witness".
     CORPUS_SHA256 = (200, "09aea7548d3979129907535a5653285d16999a0e4ae27b25a1ce64211d72f88e")
 
     def test_corpus_stats_and_witnesses(self):
-        combos = default_combos()
+        combos = DEFAULT_COMBOS
         lines = []
         for gi, g in enumerate(small_connected_graphs(7)):
             if gi % 5:
@@ -389,7 +389,7 @@ class TestComponentsShareOneState:
         if switch:
             force_switch(monkeypatch)
         graphs = small_connected_graphs(6)
-        combos = default_combos()
+        combos = DEFAULT_COMBOS
         outcomes = set()
         for i in range(300):
             g1, g2 = graphs[(7 * i) % len(graphs)], graphs[(11 * i + 5) % len(graphs)]
@@ -638,7 +638,7 @@ class TestExtractCritical:
         searched = self.record_searches(monkeypatch)
         calls = 0
         for gi, g in enumerate(small_connected_graphs(6)):
-            for _, a in corpus_assignments(g, gi, 5, default_combos(), base_seed=9):
+            for _, a in corpus_assignments(g, gi, 5, DEFAULT_COMBOS, base_seed=9):
                 if brute_force_colorable(g, a):
                     continue
                 searched.clear()
@@ -650,7 +650,7 @@ class TestExtractCritical:
     # sha256 over every uncolorable instance of a fixed slice: the connected
     # graphs on at most 6 vertices, then disjoint unions of two of them (the
     # first uncolorable component is the one kept), 10 assignments each over
-    # default_combos() at base seed 5.  A line is "gi ai core core-edges".
+    # DEFAULT_COMBOS at base seed 5.  A line is "gi ai core core-edges".
     CORES_SHA256 = (575, "c6ca46b687b59bda4cdde3541cae1516606ef5fc751fc7a298e1efa580032f69")
 
     def test_cores_digest_is_pinned(self):
@@ -661,7 +661,7 @@ class TestExtractCritical:
             graphs.append(Graph(a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)]))
         lines = []
         for gi, g in enumerate(graphs):
-            for ai, a in corpus_assignments(g, gi, 10, default_combos(), base_seed=5):
+            for ai, a in corpus_assignments(g, gi, 10, DEFAULT_COMBOS, base_seed=5):
                 if solve(g, a).colorable:
                     continue
                 vs, sub = extract_critical(g, a)
@@ -691,7 +691,7 @@ class TestExtractCritical:
             graphs.append(Graph(a.n + b.n, [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)]))
         cores = 0
         for gi, g in enumerate(graphs):
-            for _, a in corpus_assignments(g, gi, 10, default_combos(), base_seed=5):
+            for _, a in corpus_assignments(g, gi, 10, DEFAULT_COMBOS, base_seed=5):
                 solved = solve(g, a)
                 if solved.colorable:
                     continue
@@ -710,7 +710,7 @@ class TestExtractCritical:
                     continue
                 hits += 1
                 vs, sub = extract_critical(g, a)
-                sub_lists = a.restrict(vs)
+                sub_lists = ListAssignment(a.sigma, a.k, [a[v] for v in sorted(vs)])
                 assert not solve(sub, sub_lists).colorable
                 assert len(connected_components(sub)) == 1
                 for drop in range(sub.n):
@@ -734,13 +734,14 @@ def test_critical_core_is_critical_by_the_oracle(instance):
     if brute_force_colorable(g, a):
         return
     vs, sub = extract_critical(g, a)
-    lists = a.restrict(vs)
+    lists = ListAssignment(a.sigma, a.k, [a[v] for v in sorted(vs)])
     assert len(connected_components(sub)) == 1
     assert not brute_force_colorable(sub, lists)
     for drop in range(sub.n):
         rest = [v for v in range(sub.n) if v != drop]
         smaller, _ = induced_subgraph(sub, rest)
-        assert brute_force_colorable(smaller, lists.restrict(rest))
+        smaller_lists = ListAssignment(a.sigma, a.k, [lists[v] for v in rest])
+        assert brute_force_colorable(smaller, smaller_lists)
     triple = find_bad_triple(g, a)
     assert triple is not None and is_bad_triple(g, a, triple)[0]
 
